@@ -284,7 +284,14 @@ def _cmd_search(parser, args) -> int:
 
 def _cmd_check(parser, args) -> int:
     spec = _graph_from_flags(parser, args)
-    report = check_extendability(spec, budget=args.budget)
+    try:
+        report = check_extendability(spec, budget=args.budget)
+    except SearchBudgetExceeded:
+        if args.json:
+            print(json.dumps({"blocked": None, "error": "budget exhausted"}))
+        else:
+            print("UNDECIDED: node budget exhausted")
+        return 1
     if args.json:
         print(
             json.dumps(

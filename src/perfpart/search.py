@@ -7,6 +7,12 @@ targets the most constrained column, and the outer level always extends the
 lexicographically least uncovered matching, which kills the part-order
 symmetry without losing completeness.
 
+Both levels run on one CoverIndex of the graph's matchings, built once per
+search: the inner level covers edges with the rows still alive, and the outer
+level removes a placed part by clearing its rows from the alive bitset.  The
+outer level keeps its parts on an explicit stack, because a graph can need
+thousands of them.
+
 Everything is deterministic: matchings are taken in lexicographic order and
 candidates are tried in ascending index order.
 """
@@ -24,6 +30,98 @@ class SearchBudgetExceeded(Exception):
     """Raised when the node budget runs out before the search is decided."""
 
 
+class CoverIndex:
+    """Exact-cover index over a fixed list of rows, built once and shared.
+
+    rows are column bitmasks.  col_rows[c] is the bitset of rows that cover
+    column c, so at a search node the candidates for c are col_rows[c] & alive,
+    where alive is the bitset of rows still disjoint from everything chosen.
+    This is the bitset form of Knuth's Dancing Links: removing a row and all
+    rows that clash with it is one AND with a complement, and undoing it is
+    free because each node keeps its own alive set.
+    """
+
+    __slots__ = ("rows", "full", "col_rows", "row_cols", "all_rows")
+
+    def __init__(self, n_cols: int, rows: Sequence[int]) -> None:
+        self.rows = list(rows)
+        self.full = (1 << n_cols) - 1
+        self.all_rows = (1 << len(self.rows)) - 1
+        self.col_rows = [0] * n_cols
+        self.row_cols: list[tuple[int, ...]] = []
+        for idx, mask in enumerate(self.rows):
+            cols = []
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                cols.append(low.bit_length() - 1)
+            for col in cols:
+                self.col_rows[col] |= 1 << idx
+            self.row_cols.append(tuple(cols))
+
+    def clashes(self, idx: int) -> int:
+        """Bitset of the rows sharing a column with row idx (idx included)."""
+        out = 0
+        for col in self.row_cols[idx]:
+            out |= self.col_rows[col]
+        return out
+
+    def covers(
+        self,
+        alive: int,
+        forced: Sequence[int] = (),
+        budget: list[int] | None = None,
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield exact covers using forced rows plus rows from the alive bitset.
+
+        Covers come as sorted row-index tuples.  Branching takes the uncovered
+        column with the fewest candidates (the lowest such column on ties) and
+        tries its rows in ascending order.  budget, when given, is a
+        single-element mutable list of remaining search nodes shared with the
+        caller; it raises SearchBudgetExceeded at zero.
+        """
+        rows, full, col_rows = self.rows, self.full, self.col_rows
+        covered = 0
+        chosen = list(forced)
+        for idx in forced:
+            if rows[idx] & covered:
+                return
+            covered |= rows[idx]
+            alive &= ~self.clashes(idx)
+
+        def descend(covered: int, alive: int) -> Iterator[tuple[int, ...]]:
+            if budget is not None:
+                if budget[0] <= 0:
+                    raise SearchBudgetExceeded
+                budget[0] -= 1
+            if covered == full:
+                yield tuple(sorted(chosen))
+                return
+            best, best_n = 0, -1
+            rem = full & ~covered
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                cands = col_rows[low.bit_length() - 1] & alive
+                k = cands.bit_count()
+                if best_n < 0 or k < best_n:
+                    if not k:
+                        return
+                    best, best_n = cands, k
+                    if k == 1:
+                        break
+            while best:
+                low = best & -best
+                best ^= low
+                idx = low.bit_length() - 1
+                chosen.append(idx)
+                yield from descend(covered | rows[idx], alive & ~self.clashes(idx))
+                chosen.pop()
+
+        yield from descend(covered, alive)
+
+
 def exact_cover(
     n_cols: int,
     rows: Sequence[int],
@@ -36,67 +134,22 @@ def exact_cover(
     given, is a single-element mutable list of remaining search nodes shared
     with the caller; it raises SearchBudgetExceeded at zero.
     """
-    full = (1 << n_cols) - 1
-    covered = 0
-    chosen = list(forced)
-    for idx in forced:
-        if rows[idx] & covered:
-            return
-        covered |= rows[idx]
-    # column -> candidate row indices, fixed once; filtered against `covered`
-    # at branch time.
-    by_col: list[list[int]] = [[] for _ in range(n_cols)]
-    for idx, mask in enumerate(rows):
-        m = mask
-        while m:
-            low = m & -m
-            by_col[low.bit_length() - 1].append(idx)
-            m ^= low
-
-    def descend(covered: int) -> Iterator[tuple[int, ...]]:
-        if budget is not None:
-            if budget[0] <= 0:
-                raise SearchBudgetExceeded
-            budget[0] -= 1
-        if covered == full:
-            yield tuple(sorted(chosen))
-            return
-        best_col = -1
-        best: list[int] | None = None
-        rem = full & ~covered
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            col = low.bit_length() - 1
-            cands = [idx for idx in by_col[col] if not rows[idx] & covered]
-            if best is None or len(cands) < len(best):
-                best, best_col = cands, col
-                if not cands:
-                    return
-                if len(cands) == 1:
-                    break
-        assert best is not None and best_col >= 0
-        for idx in best:
-            chosen.append(idx)
-            yield from descend(covered | rows[idx])
-            chosen.pop()
-
-    yield from descend(covered)
+    index = CoverIndex(n_cols, rows)
+    yield from index.covers(index.all_rows, forced, budget)
 
 
-def _edge_index(spec: GraphSpec) -> dict[tuple[int, int], int]:
-    return {edge: k for k, edge in enumerate(spec.edges())}
+def matching_index(spec: GraphSpec) -> tuple[list[Perm], CoverIndex]:
+    """All matchings of spec in lexicographic order, and their edge-cover index.
 
-
-def _matching_masks(spec: GraphSpec, matchings: Sequence[Perm]) -> list[int]:
-    idx = _edge_index(spec)
-    masks = []
-    for p in matchings:
-        mask = 0
-        for i, x in enumerate(p, start=1):
-            mask |= 1 << idx[(i, x)]
-        masks.append(mask)
-    return masks
+    Row k of the index is matchings[k] as a bitmask over the graph's edges;
+    an exact cover of the edges is a 1-factorization.
+    """
+    matchings = list(enumerate_matchings(spec))
+    edge = {e: k for k, e in enumerate(spec.edges())}
+    masks = [
+        sum(1 << edge[(i, x)] for i, x in enumerate(p, start=1)) for p in matchings
+    ]
+    return matchings, CoverIndex(spec.n * degree(spec), masks)
 
 
 def find_factorizations(
@@ -105,15 +158,14 @@ def find_factorizations(
     budget: int | None = None,
 ) -> Iterator[tuple[Perm, ...]]:
     """Yield 1-factorizations of spec, optionally forced to contain a matching."""
-    matchings = list(enumerate_matchings(spec))
-    masks = _matching_masks(spec, matchings)
+    matchings, index = matching_index(spec)
     forced: list[int] = []
     if containing is not None:
         if not is_matching(spec, containing):
             raise ValueError("forced member is not a matching of the graph")
         forced = [matchings.index(tuple(containing))]
     shared = [budget] if budget is not None else None
-    for sol in exact_cover(spec.n * degree(spec), masks, forced, shared):
+    for sol in index.covers(index.all_rows, forced, shared):
         yield tuple(matchings[i] for i in sol)
 
 
@@ -141,33 +193,44 @@ def _partitions(
     spec: GraphSpec, budget: int | None, precheck: bool
 ) -> Iterator[tuple[tuple[Perm, ...], ...]]:
     d = degree(spec)
-    matchings = list(enumerate_matchings(spec))
+    matchings, index = matching_index(spec)
     if not matchings:
         if d == 0:
             yield ()
         return
     if d == 0 or (precheck and len(matchings) % d != 0):
         return
-    masks = _matching_masks(spec, matchings)
-    n_cols = spec.n * d
     shared = [budget] if budget is not None else None
-    full_edges = (1 << n_cols) - 1
 
-    def descend(available: list[int]) -> Iterator[tuple[tuple[Perm, ...], ...]]:
-        if not available:
-            yield ()
-            return
+    def next_parts(free: int) -> Iterator[tuple[int, ...]]:
+        # One outer node: the parts through the least uncovered matching.
         if shared is not None:
             if shared[0] <= 0:
                 raise SearchBudgetExceeded
             shared[0] -= 1
-        # forcing local row 0 anchors every part at the least uncovered matching
-        local = [masks[i] for i in available]
-        for sol in exact_cover(n_cols, local, forced=[0], budget=shared):
-            part_ids = tuple(available[k] for k in sol)
-            rest = [i for i in available if i not in set(part_ids)]
-            part = tuple(matchings[i] for i in part_ids)
-            for tail in descend(rest):
-                yield (part, *tail)
+        anchor = (free & -free).bit_length() - 1
+        return index.covers(free, (anchor,), shared)
 
-    yield from descend(list(range(len(matchings))))
+    # Explicit DFS stack: levels[k] yields the candidates for part k, and
+    # placed[k] is the part currently taken from it, with its row bitset.
+    free = index.all_rows
+    levels = [next_parts(free)]
+    placed: list[tuple[tuple[int, ...], int]] = []
+    while levels:
+        part = next(levels[-1], None)
+        if part is None:
+            levels.pop()
+            if placed:
+                free |= placed.pop()[1]
+            continue
+        bits = 0
+        for i in part:
+            bits |= 1 << i
+        free &= ~bits
+        placed.append((part, bits))
+        if free:
+            levels.append(next_parts(free))
+            continue
+        yield tuple(tuple(matchings[i] for i in ids) for ids, _ in placed)
+        placed.pop()
+        free |= bits

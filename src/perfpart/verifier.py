@@ -196,16 +196,20 @@ class ExtendabilityReport:
 
 
 def check_extendability(spec: GraphSpec, budget: int | None = None) -> ExtendabilityReport:
-    """For every matching, decide whether some 1-factorization contains it."""
-    from .search import find_factorizations  # deferred: search builds on matchings
+    """For every matching, decide whether some 1-factorization contains it.
 
+    budget bounds the search nodes spent on each matching; exceeding it
+    raises SearchBudgetExceeded.
+    """
+    from .search import matching_index  # deferred: search builds on matchings
+
+    matchings, index = matching_index(spec)
     blocked = []
-    total = 0
-    for p in enumerate_matchings(spec):
-        total += 1
-        if next(find_factorizations(spec, containing=p, budget=budget), None) is None:
+    for k, p in enumerate(matchings):
+        shared = [budget] if budget is not None else None
+        if next(index.covers(index.all_rows, (k,), shared), None) is None:
             blocked.append(p)
-    return ExtendabilityReport(total=total, blocked=blocked)
+    return ExtendabilityReport(total=len(matchings), blocked=blocked)
 
 
 # --- certificate JSON (the on-disk interface) ---

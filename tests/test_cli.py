@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from perfpart.cli import main
+from perfpart.graph_model import l_graph, row_strings
 
 CIRCULANT_ROWS = "11100\n01110\n00111\n10011\n11001\n"
 
@@ -222,6 +223,18 @@ def test_search_budget_exhaustion(run):
     assert code == 1 and json.loads(out)["error"] == "budget exhausted"
 
 
+def test_search_large_matrix_ends_in_a_verdict(run, tmp_path):
+    # L(3, 3) needs 2016 parts; the search must stop on its budget, not crash
+    path = tmp_path / "l33.txt"
+    path.write_text("\n".join(row_strings(l_graph(3, 3))) + "\n")
+    code, out = run("search", "--matrix", str(path), "--budget", "20000")
+    first = out.strip().splitlines()[0]
+    if code == 1:
+        assert first == "UNDECIDED: node budget exhausted"
+    else:
+        assert code == 0 and first == "FOUND: 2016 parts of 6"
+
+
 def test_search_usage_errors(circulant_file):
     usage_error("search")
     usage_error("search", "--target", "l99")
@@ -235,6 +248,13 @@ def test_check_extendability(run):
 
     code, out = run("check", "--r", "1", "--m", "4", "--json")
     assert code == 0 and json.loads(out) == {"total": 9, "blocked": []}
+
+
+def test_check_budget_exhaustion(run):
+    code, out = run("check", "--r", "1", "--m", "4", "--budget", "1")
+    assert code == 1 and out.strip() == "UNDECIDED: node budget exhausted"
+    code, out = run("check", "--r", "1", "--m", "4", "--budget", "1", "--json")
+    assert code == 1 and json.loads(out)["error"] == "budget exhausted"
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -1,9 +1,14 @@
 """Exact-cover search: factorizations, whole partitions, budgets."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from perfpart.counting import necessary_condition
 from perfpart.graph_model import from_matrix, l_graph
+from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
 from perfpart.search import (
     SearchBudgetExceeded,
@@ -12,6 +17,7 @@ from perfpart.search import (
     find_perfect_partition,
 )
 from perfpart.tables import canonical_parts, l41_table
+from perfpart.verifier import check_partition, make_certificate
 
 CIRCULANT_ROWS = ["11100", "01110", "00111", "10011", "11001"]
 
@@ -40,6 +46,77 @@ def test_exact_cover_budget():
     budget = [10_000]
     assert list(exact_cover(10, rows, budget=budget)) == [tuple(range(10))]
     assert budget[0] < 10_000
+
+
+@st.composite
+def cover_instances(draw):
+    n_cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.integers(1, (1 << n_cols) - 1), max_size=10))
+    forced = ()
+    if rows and draw(st.booleans()):
+        forced = (draw(st.integers(0, len(rows) - 1)),)
+    return n_cols, rows, forced
+
+
+def brute_force_covers(n_cols, rows, forced):
+    full = (1 << n_cols) - 1
+    out = set()
+    for k in range(len(rows) + 1):
+        for subset in combinations(range(len(rows)), k):
+            masks = [rows[i] for i in subset]
+            union = 0
+            for mask in masks:
+                union |= mask
+            exact = sum(bin(mask).count("1") for mask in masks) == n_cols
+            if union == full and exact and set(forced) <= set(subset):
+                out.add(subset)
+    return out
+
+
+@given(cover_instances())
+def test_exact_cover_matches_brute_force(instance):
+    n_cols, rows, forced = instance
+    assert set(exact_cover(n_cols, rows, forced)) == brute_force_covers(n_cols, rows, forced)
+
+
+def test_exact_cover_node_count_on_l61():
+    # every 1-factorization of L(1, 6); the node count pins the search tree
+    spec = l_graph(1, 6)
+    edge = {e: k for k, e in enumerate(spec.edges())}
+    masks = [
+        sum(1 << edge[(i, x)] for i, x in enumerate(p, start=1))
+        for p in enumerate_matchings(spec)
+    ]
+    budget = [10**9]
+    assert sum(1 for _ in exact_cover(spec.n * 5, masks, budget=budget)) == 9408
+    assert 10**9 - budget[0] == 25658
+
+
+@pytest.mark.parametrize(
+    "spec, nodes",
+    [
+        (l_graph(1, 5), 106),
+        (l_graph(2, 3), 4593),
+        (from_matrix(["11111"] * 5), 15003),
+    ],
+    ids=["l51", "l62", "k55"],
+)
+def test_first_partition_costs_exactly_its_node_count(spec, nodes):
+    # the smallest budget that finds a partition pins the two-level search tree
+    assert find_perfect_partition(spec, budget=nodes) is not None
+    with pytest.raises(SearchBudgetExceeded):
+        find_perfect_partition(spec, budget=nodes - 1)
+
+
+def test_large_search_ends_in_a_verdict():
+    # L(3, 3) needs 2016 parts: the outer level must not recurse once per part
+    spec = l_graph(3, 3)
+    try:
+        found = find_perfect_partition(spec, budget=20_000)
+    except SearchBudgetExceeded:
+        return
+    assert found is not None
+    assert check_partition(make_certificate(spec, found, complete=True)).ok
 
 
 def test_factorizations_of_k22_and_l41():

@@ -162,3 +162,8 @@ def test_extendability_of_a_small_graph():
     # two 3x3 holes: matchings are bijection pairs, all coverable
     report = check_extendability(l_graph(3, 2))
     assert report.total == 36 and report.all_extendable
+
+
+def test_extendability_of_l24():
+    report = check_extendability(l_graph(2, 4))
+    assert report.total == 4752 and report.all_extendable
