@@ -2,8 +2,7 @@
 
 Thin sequential shell over the library.  Exit codes: 0 on success/verified/
 found, 1 on verification failure or a proven NONE where a target asserts
-existence, 2 on usage errors.  `--json` switches machine-readable output on;
-PERFPART_WORKERS sets the verifier worker count.
+existence, 2 on usage errors.  `--json` switches machine-readable output on.
 """
 
 from __future__ import annotations
@@ -33,13 +32,9 @@ from .verifier import (
 
 SEARCH_TARGETS = {"l41": (1, 4), "l51": (1, 5), "l62": (2, 3)}
 
-
-def _workers() -> int:
-    raw = os.environ.get("PERFPART_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Largest N each coset builder accepts: knn:9 has 9! = 362880 matchings and
+# l2nn:6 has (6!)^2 = 518400; one size up is 10x or 49x that in time and memory.
+GROUP_TARGETS = {"knn:": (knn_partition, 9), "l2nn:": (l2nn_partition, 6)}
 
 
 def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
@@ -127,10 +122,13 @@ def _build_target(parser, args):
             parser.error(str(exc))
     if target == "l82":
         return build_l82()
-    for prefix, builder in (("knn:", knn_partition), ("l2nn:", l2nn_partition)):
+    for prefix, (builder, limit) in GROUP_TARGETS.items():
         if target.startswith(prefix):
             try:
-                return builder(int(target[len(prefix):]))
+                size = int(target[len(prefix):])
+                if size > limit:
+                    raise ValueError(f"N must be at most {limit}")
+                return builder(size)
             except ValueError as exc:
                 parser.error(f"bad target {target}: {exc}")
     parser.error(f"unknown target {target!r}; use l61, l82, knn:N or l2nn:N")
@@ -198,7 +196,7 @@ def _cmd_verify(parser, args) -> int:
         else:
             print(f"FAIL: unreadable certificate: {exc}")
         return 1
-    report = check_partition(cert, workers=_workers())
+    report = check_partition(cert)
     if args.json:
         print(
             json.dumps(

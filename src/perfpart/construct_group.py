@@ -30,14 +30,13 @@ def _cycle_powers(n: int) -> list[Perm]:
 
 
 def _coset_reps(n: int) -> list[Perm]:
-    """Lexicographically least member of each left coset of <(1 2 ... n)>."""
-    powers = _cycle_powers(n)
-    reps = []
-    for images in permutations(range(1, n + 1)):
-        g = tuple(images)
-        if g == min(compose(g, h) for h in powers):
-            reps.append(g)
-    return reps
+    """Lexicographically least member of each left coset of <(1 2 ... n)>.
+
+    compose(g, c^t) rotates g's image tuple left by t, so the least member
+    of g<c> is the rotation that starts with 1: the representatives are
+    (1, *q) for q over the permutations of 2..n, in lexicographic order.
+    """
+    return [(1, *q) for q in permutations(range(2, n + 1))]
 
 
 def knn_partition(n: int) -> PartitionCertificate:

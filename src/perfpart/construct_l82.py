@@ -13,7 +13,8 @@ S2 (two; 768), and S4 (four; 144).  Three part families exhaust them:
   * Type II  (build_type2): 384 parts, each four S0 - S0_1 members built
     from a block 4-cycle and four free chord blocks plus an S2 pair that
     completes the sum, chosen among the four residual decompositions by
-    chord parities; uses all of S0 - S0_1 and S2.
+    chord parities; one canonical seed per part; uses all of S0 - S0_1 and
+    S2.
   * Type III (build_type3): 24 parts expanding the three block-level
     factorizations of the 4x4 pattern by complementary I2/R2 assignments;
     uses all of S4.
@@ -50,6 +51,7 @@ E22: EBlock = ((0, 0), (0, 1))
 E_BLOCKS: tuple[EBlock, ...] = (E11, E12, E21, E22)
 
 
+@lru_cache(maxsize=None)
 def eb(a: int, b: int) -> EBlock:
     """The E-block with its single one at cell (a, b), a and b in {1, 2}."""
     return tuple(
@@ -434,6 +436,18 @@ def _type2_grids(
     return a1, a2, a3, a4, a1p, a2p, a3p, a4p
 
 
+def _type2_family(
+    cycle: tuple[int, int, int, int],
+    chords: tuple[EBlock, EBlock, EBlock, EBlock],
+    primed: bool,
+) -> tuple[Perm, ...]:
+    """The plain family {A1, A2, A3', A4'} or the primed {A1', A2', A3, A4}."""
+    a1, a2, a3, a4, a1p, a2p, a3p, a4p = _type2_grids(cycle, chords)
+    grids = (a1p, a2p, a3, a4) if primed else (a1, a2, a3p, a4p)
+    ctx = f"cycle={cycle} chords={chords} {'primed' if primed else 'plain'}"
+    return _complete_family(grids, cycle, ctx)
+
+
 def type2_families(
     cycle: tuple[int, int, int, int],
     chords: tuple[EBlock, EBlock, EBlock, EBlock],
@@ -450,11 +464,9 @@ def type2_families(
     the chord parities at (1, j) and (j, 1), which is what lets the selected
     pairs cover S2 without repeats across the whole sweep.
     """
-    a1, a2, a3, a4, a1p, a2p, a3p, a4p = _type2_grids(cycle, chords)
-    ctx = f"cycle={cycle} chords={chords}"
     return (
-        _complete_family((a1, a2, a3p, a4p), cycle, f"{ctx} plain"),
-        _complete_family((a1p, a2p, a3, a4), cycle, f"{ctx} primed"),
+        _type2_family(cycle, chords, primed=False),
+        _type2_family(cycle, chords, primed=True),
     )
 
 
@@ -478,26 +490,20 @@ def type2_literal_diagnostic(
 def build_type2() -> list[tuple[Perm, ...]]:
     """384 parts consuming every S0 - S0_1 and every S2 member exactly once.
 
-    The sweep over 3 cycle representatives x 4^4 chord choices x 2 families
-    makes 1536 parts; each member set is rebuilt by four seeds (twice per
-    family role, once from complemented chords), and because the S2 choice
-    is a function of the member set alone, deduplication leaves 384.
+    The full sweep over 3 cycle representatives x 4^4 chord choices x 2
+    families rebuilds each part four times: every primed family is also the
+    plain family of another seed, and complementing every chord rebuilds the
+    same plain family with A1 and A2 swapped.  Complementing moves the chord
+    at (1, j) between block rows, so plain families whose (1, j) chord lies in
+    the top row give each part from exactly one seed: 3 * 2 * 4^3 = 384.
+    Parts are returned with sorted members, in sorted order.
     """
-    raw: list[tuple[Perm, ...]] = []
-    for cycle in CYCLE_REPS:
-        for chords in product(E_BLOCKS, repeat=4):
-            raw.extend(type2_families(cycle, chords))
-    assert len(raw) == 1536
-
-    multiplicity: dict[tuple[Perm, ...], int] = {}
-    for part in raw:
-        key = tuple(sorted(part))
-        multiplicity[key] = multiplicity.get(key, 0) + 1
-    seeds_per_part = set(multiplicity.values())
-    assert len(seeds_per_part) == 1
-    overcount = seeds_per_part.pop()
-    assert overcount & (overcount - 1) == 0, "overcount must be a power of two"
-    parts = sorted(multiplicity)
+    parts = sorted(
+        tuple(sorted(_type2_family(cycle, (ch1j, *rest), primed=False)))
+        for cycle in CYCLE_REPS
+        for ch1j in (E11, E12)
+        for rest in product(E_BLOCKS, repeat=3)
+    )
     assert len(parts) == 384
 
     s0_used = [m for p in parts for m in p if label_l82(m) == "S0"]

@@ -133,7 +133,11 @@ def is_matching(spec: GraphSpec, p: Sequence[int]) -> bool:
 
 
 def block_view(p: Perm) -> tuple[tuple[Block, ...], ...]:
-    """The 4x4 block matrix of 2x2 cells for a degree-8 permutation."""
+    """The 4x4 block matrix of 2x2 cells for a degree-8 permutation.
+
+    Tests use it as the reference for invertible_blocks and zero_blocks,
+    which read the same cells straight from the images.
+    """
     if len(p) != 8:
         raise ValueError("block view is defined for n = 8")
     mat = [[0] * 8 for _ in range(8)]
@@ -154,22 +158,34 @@ def block_view(p: Perm) -> tuple[tuple[Block, ...], ...]:
 
 
 def invertible_blocks(p: Perm) -> list[tuple[int, int]]:
-    """1-based block positions whose 2x2 cell is I2 or R2."""
-    view = block_view(p)
-    return [
-        (i + 1, j + 1)
-        for i in range(4)
-        for j in range(4)
-        if view[i][j] in (I2, R2)
-    ]
+    """1-based block positions whose 2x2 cell is I2 or R2.
+
+    Read from the images: block row bi's two images land in blocks
+    (p[2bi] - 1) >> 1 and (p[2bi + 1] - 1) >> 1, and the cell is invertible
+    exactly when both land in the same block at distinct columns.
+    """
+    if len(p) != 8:
+        raise ValueError("block view is defined for n = 8")
+    out = []
+    for bi in range(4):
+        a, b = p[2 * bi], p[2 * bi + 1]
+        if (a - 1) >> 1 == (b - 1) >> 1 and a != b:
+            out.append((bi + 1, (a + 1) >> 1))
+    return out
 
 
 def zero_blocks(p: Perm) -> list[tuple[int, int]]:
-    """1-based off-diagonal block positions whose 2x2 cell is all zero."""
-    view = block_view(p)
-    return [
-        (i + 1, j + 1)
-        for i in range(4)
-        for j in range(4)
-        if i != j and view[i][j] == O2
-    ]
+    """1-based off-diagonal block positions whose 2x2 cell is all zero.
+
+    A cell is zero exactly when neither image of its block row lands in its
+    block column.
+    """
+    if len(p) != 8:
+        raise ValueError("block view is defined for n = 8")
+    out = []
+    for bi in range(4):
+        hit = 1 << ((p[2 * bi] - 1) >> 1) | 1 << ((p[2 * bi + 1] - 1) >> 1)
+        out.extend(
+            (bi + 1, bj + 1) for bj in range(4) if bj != bi and not hit >> bj & 1
+        )
+    return out

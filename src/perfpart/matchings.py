@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .graph_model import GraphSpec, block_view, invertible_blocks, zero_blocks
+from .graph_model import GraphSpec, invertible_blocks, zero_blocks
 from .perm_core import Perm, cycle_type
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from itertools import islice
 
+from .counting import count_matchings
 from .graph_model import GraphSpec, degree, from_matrix, l_graph, row_strings
 from .matchings import enumerate_matchings
 from .perm_core import Perm, is_permutation
@@ -65,16 +66,41 @@ def make_certificate(
     return cert.canonical()
 
 
+def _is_factorization(spec: GraphSpec, perms: Sequence[Perm], d: int) -> bool:
+    """Fast accept: d permutations whose image bits OR to each adjacency row
+    with d bits set, so no edge is missing, absent from the graph, or doubled."""
+    n = spec.n
+    if len(perms) != d:
+        return False
+    acc = [0] * n
+    for p in perms:
+        if not is_permutation(p, n):
+            return False
+        acc = [a | 1 << (x - 1) for a, x in zip(acc, p)]
+    return tuple(acc) == spec.rows and all(a.bit_count() == d for a in acc)
+
+
 def check_factorization(spec: GraphSpec, perms: Sequence[Perm]) -> list[Violation]:
     """Violations of 'perms is a 1-factorization of spec'; empty means valid.
 
     Checks size == degree, membership of every matching, and exact single
     coverage of every edge (equivalently, permutation matrices sum to the
-    adjacency matrix).
+    adjacency matrix).  Valid parts are accepted by the row-bitset test of
+    _is_factorization; the cover matrix of _factorization_violations is
+    built only for a part that fails it.
     """
+    d = degree(spec)
+    if _is_factorization(spec, perms, d):
+        return []
+    return _factorization_violations(spec, perms, d)
+
+
+def _factorization_violations(
+    spec: GraphSpec, perms: Sequence[Perm], d: int
+) -> list[Violation]:
+    """Every violation of a member list, worded one per defect."""
     out: list[Violation] = []
     n = spec.n
-    d = degree(spec)
     if len(perms) != d:
         out.append(
             Violation("size", f"expected {d} matchings (the degree), got {len(perms)}")
@@ -131,30 +157,37 @@ class PartitionReport:
         )
 
 
-def _check_part(args: tuple[GraphSpec, int, tuple[Perm, ...]]) -> list[Violation]:
-    spec, k, part = args
-    return [
-        Violation(v.kind, v.detail, part=k, member=v.member)
-        for v in check_factorization(spec, part)
-    ]
+def _has_exactly(spec: GraphSpec, count: int) -> bool:
+    """True when the graph has exactly `count` matchings, given that it has
+    at least that many.
+
+    L graphs use the closed form.  A matrix is enumerated up to one matching
+    past `count`, which costs about as much as reading a certificate of that
+    size; Ryser's permanent would cost 2^n whatever the certificate.
+    """
+    if spec.kind == "L" and spec.r is not None:
+        return count_matchings(spec.r, spec.m, n=spec.n) == count
+    return next(islice(enumerate_matchings(spec), count, None), None) is None
 
 
-def check_partition(cert: PartitionCertificate, workers: int = 1) -> PartitionReport:
+def check_partition(cert: PartitionCertificate) -> PartitionReport:
     """Verify every part, cross-part disjointness, and (if claimed) completeness.
 
-    workers > 1 verifies parts in a process pool; results are merged in part
-    order so the report is identical either way.
+    Once every member is a valid matching and no two are equal, the claim
+    of completeness holds exactly when the graph has no further matching,
+    which _has_exactly decides by count.  All matchings are enumerated only
+    to name what is missing or extra when that test does not pass.
     """
     spec = cert.graph
     violations: list[Violation] = []
-    jobs = [(spec, k, part) for k, part in enumerate(cert.parts)]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_check_part, jobs, chunksize=32):
-                violations.extend(batch)
-    else:
-        for job in jobs:
-            violations.extend(_check_part(job))
+    # once per certificate: degree() of a matrix sums every column
+    d = degree(spec) if cert.parts else 0
+    for k, part in enumerate(cert.parts):
+        if not _is_factorization(spec, part, d):
+            violations.extend(
+                Violation(v.kind, v.detail, part=k, member=v.member)
+                for v in _factorization_violations(spec, part, d)
+            )
 
     seen: dict[Perm, int] = {}
     for k, part in enumerate(cert.parts):
@@ -167,7 +200,7 @@ def check_partition(cert: PartitionCertificate, workers: int = 1) -> PartitionRe
                 )
             seen.setdefault(p, k)
 
-    if cert.complete:
+    if cert.complete and (violations or not _has_exactly(spec, len(seen))):
         want = set(enumerate_matchings(spec))
         have = set(seen)
         for p in sorted(want - have):
@@ -249,7 +282,7 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
         graph = graph_from_json(obj["graph"], n)
         complete = bool(obj["complete"])
         parts = tuple(
-            tuple(tuple(int(x) for x in p) for p in part) for part in obj["parts"]
+            tuple(tuple(map(int, p)) for p in part) for part in obj["parts"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a certificate: {exc}") from exc
@@ -263,9 +296,10 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
 
 
 def save_certificate(cert: PartitionCertificate, path: str | os.PathLike) -> None:
+    # json.dumps runs the C encoder; json.dump to a file would not
+    text = json.dumps(certificate_to_json(cert)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(cert), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_certificate(path: str | os.PathLike) -> PartitionCertificate:

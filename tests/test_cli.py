@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from perfpart.cli import main
-from perfpart.graph_model import l_graph, row_strings
+from perfpart.construct_group import knn_partition
+from perfpart.graph_model import from_matrix, l_graph, row_strings
+from perfpart.verifier import make_certificate, save_certificate
 
 CIRCULANT_ROWS = "11100\n01110\n00111\n10011\n11001\n"
 
@@ -157,6 +160,15 @@ def test_construct_usage_errors():
     usage_error("construct", "--target", "l61", "--seed", "(1 2)(3 4)")
 
 
+def test_construct_rejects_oversized_group_targets():
+    """knn:10 would build 10! matchings and l2nn:7 (7!)^2; both stop at once."""
+    start = time.perf_counter()
+    usage_error("construct", "--target", "knn:10")
+    usage_error("construct", "--target", "l2nn:7")
+    usage_error("construct", "--target", "knn:11")
+    assert time.perf_counter() - start < 5
+
+
 def test_certificates_are_byte_stable(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run("construct", "--target", "l61", "--out", "a.json")
@@ -180,6 +192,21 @@ def test_verify_detects_tampering(run, tmp_path, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False and report["violations"]
+
+
+def test_verify_names_the_missing_part_of_a_matrix_certificate(run, tmp_path):
+    """Completeness by count falls back to enumeration to word what is missing."""
+    graph = from_matrix(["1111"] * 4)
+    parts = knn_partition(4).parts
+    path = tmp_path / "k44.json"
+    save_certificate(make_certificate(graph, parts[1:], complete=True), path)
+
+    code, out = run("verify", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL: 5 parts, 20 matchings, 4 violation(s)",
+        *(f"  missing: matching {list(p)} uncovered" for p in sorted(parts[0])),
+    ]
 
 
 def test_verify_unreadable_file(run, tmp_path):

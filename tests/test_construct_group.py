@@ -1,10 +1,11 @@
 """Coset-based partitions of the complete graph and the two-hole graph."""
 
 import math
+from itertools import permutations
 
 import pytest
 
-from perfpart.construct_group import knn_partition, l2nn_partition
+from perfpart.construct_group import _coset_reps, _cycle_powers, knn_partition, l2nn_partition
 from perfpart.graph_model import is_matching, l_graph
 from perfpart.perm_core import compose, inverse
 from perfpart.verifier import check_partition
@@ -18,6 +19,17 @@ def test_knn_partition_shape_and_validity(n: int):
     assert len(cert.parts) == math.factorial(n - 1)
     assert all(len(part) == n for part in cert.parts)
     assert check_partition(cert).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coset_reps_are_the_least_member_of_each_coset(n: int):
+    powers = _cycle_powers(n)
+    least = [
+        g
+        for g in permutations(range(1, n + 1))
+        if g == min(compose(g, h) for h in powers)
+    ]
+    assert _coset_reps(n) == least
 
 
 def test_knn_parts_are_cosets_of_the_cycle_group():

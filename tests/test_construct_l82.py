@@ -1,5 +1,6 @@
 """Block-grid constructions behind the 792-part partition of L(2, 4)."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -178,7 +179,18 @@ def test_full_build(l82_cert):
     }
 
 
-def test_type2_choice_is_intrinsic_to_the_member_set(type2_parts):
+@pytest.fixture(scope="module")
+def type2_sweep():
+    """(chords, family role, sorted part) for all 1536 raw type-II families."""
+    return [
+        (chords, role, tuple(sorted(fam)))
+        for cycle in CYCLE_REPS
+        for chords in product(E_BLOCKS, repeat=4)
+        for role, fam in zip(("plain", "primed"), type2_families(cycle, chords))
+    ]
+
+
+def test_type2_choice_is_intrinsic_to_the_member_set(type2_parts, type2_sweep):
     """Every raw seed must rebuild the same completed part.
 
     The sweep visits each member set four times (two chord seeds per family
@@ -186,13 +198,21 @@ def test_type2_choice_is_intrinsic_to_the_member_set(type2_parts):
     global S2 cover would double up.
     """
     by_s0 = {}
-    for cycle in CYCLE_REPS:
-        for chords in product(E_BLOCKS, repeat=4):
-            for fam in type2_families(cycle, chords):
-                key = tuple(sorted(m for m in fam if label_l82(m) == "S0"))
-                by_s0.setdefault(key, set()).add(tuple(sorted(fam)))
+    for _, _, part in type2_sweep:
+        key = tuple(m for m in part if label_l82(m) == "S0")
+        by_s0.setdefault(key, set()).add(part)
     assert len(by_s0) == 384
     assert all(len(built) == 1 for built in by_s0.values())
-    assert {next(iter(v)) for v in by_s0.values()} == {
-        tuple(sorted(p)) for p in type2_parts
-    }
+    assert {next(iter(v)) for v in by_s0.values()} == set(type2_parts)
+
+
+def test_type2_sweep_builds_each_part_four_times(type2_parts, type2_sweep):
+    assert len(type2_sweep) == 1536
+    assert set(Counter(part for _, _, part in type2_sweep).values()) == {4}
+
+    canonical = Counter(
+        part for chords, role, part in type2_sweep
+        if role == "plain" and chords[0] in (E11, E12)
+    )
+    assert len(canonical) == 384 and set(canonical.values()) == {1}
+    assert sorted(canonical) == type2_parts

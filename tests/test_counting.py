@@ -105,6 +105,20 @@ def test_three_routes_agree(r: int, m: int):
     assert count_matchings(r, m) == permanent_of_spec(g) == count_by_enumeration(g)
 
 
+SHIPPED_GRAPHS = [
+    l_graph(1, 6),
+    l_graph(2, 4),
+    *(l_graph(0, n=n) for n in range(1, 10)),
+    *(l_graph(n, 2) for n in range(1, 7)),
+]
+
+
+@pytest.mark.parametrize("spec", SHIPPED_GRAPHS, ids=lambda g: f"r{g.r}n{g.n}")
+def test_count_of_every_shipped_graph_matches_enumeration(spec):
+    """The verifier's completeness-by-count rests on these counts."""
+    assert necessary_condition(spec).count == count_by_enumeration(spec)
+
+
 def test_circulant_example_has_13_matchings():
     g = from_matrix(CIRCULANT_ROWS)
     assert permanent_of_spec(g) == 13

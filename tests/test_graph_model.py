@@ -17,6 +17,7 @@ from perfpart.graph_model import (
     row_strings,
     zero_blocks,
 )
+from perfpart.matchings import enumerate_matchings
 
 
 def test_l16_is_complete_minus_diagonal():
@@ -137,3 +138,36 @@ def test_block_view_reconstructs_the_permutation(p):
                         total += 1
                         assert p[2 * bi + a] == 2 * bj + b + 1
     assert total == 8
+
+
+def oracle_invertible_blocks(p):
+    view = block_view(p)
+    return [(i + 1, j + 1) for i in range(4) for j in range(4) if view[i][j] in (I2, R2)]
+
+
+def oracle_zero_blocks(p):
+    view = block_view(p)
+    return [
+        (i + 1, j + 1) for i in range(4) for j in range(4) if i != j and view[i][j] == O2
+    ]
+
+
+def test_block_kernels_match_the_block_view_on_every_l24_matching():
+    matchings = list(enumerate_matchings(l_graph(2, 4)))
+    assert len(matchings) == 4752
+    for p in matchings:
+        assert invertible_blocks(p) == oracle_invertible_blocks(p)
+        assert zero_blocks(p) == oracle_zero_blocks(p)
+
+
+@given(st.permutations(list(range(1, 9))).map(tuple))
+def test_block_kernels_match_the_block_view_on_s8(p):
+    assert invertible_blocks(p) == oracle_invertible_blocks(p)
+    assert zero_blocks(p) == oracle_zero_blocks(p)
+
+
+def test_block_kernels_need_degree_8():
+    with pytest.raises(ValueError):
+        invertible_blocks((2, 1, 4, 3))
+    with pytest.raises(ValueError):
+        zero_blocks((2, 1, 4, 3))

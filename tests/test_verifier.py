@@ -2,14 +2,22 @@
 
 import json
 import random
+import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from perfpart.graph_model import from_matrix, l_graph
+from perfpart import verifier
+from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
+from perfpart.search import find_factorizations
 from perfpart.tables import t1_table
 from perfpart.verifier import (
+    _factorization_violations,
+    _is_factorization,
     certificate_from_json,
     certificate_to_json,
     check_extendability,
@@ -80,17 +88,70 @@ def test_check_agrees_with_the_matrix_sum_oracle():
     assert seen_valid and seen_invalid
 
 
+SMALL_GRAPHS = {"l14": l_graph(1, 4), "l15": l_graph(1, 5)}
+
+
+@lru_cache(maxsize=None)
+def small_graph_members(name):
+    """(matchings, 1-factorizations) of a small hole graph."""
+    spec = SMALL_GRAPHS[name]
+    return list(enumerate_matchings(spec)), list(find_factorizations(spec))
+
+
+@st.composite
+def member_lists(draw):
+    """A 1-factorization, then a few edits that may or may not break it."""
+    name = draw(st.sampled_from(sorted(SMALL_GRAPHS)))
+    spec = SMALL_GRAPHS[name]
+    matchings, factorizations = small_graph_members(name)
+    perms = list(draw(st.sampled_from(factorizations)))
+    any_index = st.integers(0, 10**6)
+    edits = ["duplicate", "drop", "add", "replace", "permutation", "non_permutation"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)):
+        k = draw(any_index) % len(perms) if perms else None
+        if edit == "duplicate" and perms:
+            perms.append(perms[k])
+        elif edit == "drop" and perms:
+            del perms[k]
+        elif edit == "add":
+            perms.append(draw(st.sampled_from(matchings)))
+        elif edit == "replace" and perms:
+            perms[k] = draw(st.sampled_from(matchings))
+        elif edit == "permutation" and perms:
+            perms[k] = tuple(draw(st.permutations(range(1, spec.n + 1))))
+        elif edit == "non_permutation" and perms:
+            size = draw(st.integers(spec.n - 1, spec.n + 1))
+            images = st.integers(0, spec.n + 1)
+            perms[k] = tuple(draw(st.lists(images, min_size=size, max_size=size)))
+    return spec, perms
+
+
+@given(member_lists())
+def test_fast_accept_holds_exactly_when_no_violation_is_worded(case):
+    spec, perms = case
+    d = degree(spec)
+    accepted = _is_factorization(spec, perms, d)
+    assert accepted == (not _factorization_violations(spec, perms, d))
+    assert accepted == (check_factorization(spec, perms) == [])
+    cells = set(range(1, spec.n + 1))
+    if all(len(p) == spec.n and set(p) <= cells for p in perms):
+        assert accepted == (
+            len(perms) == d == len(set(perms)) and matrix_sum_equals_adjacency(spec, perms)
+        )
+
+
+def test_fast_accept_takes_every_small_factorization():
+    for name, spec in SMALL_GRAPHS.items():
+        _, factorizations = small_graph_members(name)
+        assert factorizations
+        for fact in factorizations:
+            assert _is_factorization(spec, fact, degree(spec))
+
+
 def test_check_partition_accepts_the_reference_build(l61_cert):
     report = check_partition(l61_cert)
     assert report.ok and report.n_parts == 53 and report.n_matchings == 265
     assert report.summary() == "PASS: 53 parts, 265 matchings, 0 violation(s)"
-
-
-def test_check_partition_with_workers_matches_serial(l61_cert):
-    serial = check_partition(l61_cert, workers=1)
-    parallel = check_partition(l61_cert, workers=2)
-    assert parallel.ok == serial.ok
-    assert parallel.violations == serial.violations
 
 
 def test_overlap_detection(l61_cert):
@@ -112,6 +173,58 @@ def test_completeness_violations(l61_cert):
     assert not report.ok
     assert kinds(report.violations) == {"missing"}
     assert len(report.violations) == 5
+
+
+def test_completeness_by_count_needs_no_enumeration(l61_cert, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a valid complete certificate must not enumerate")
+
+    monkeypatch.setattr(verifier, "enumerate_matchings", refuse)
+    assert check_partition(l61_cert).ok
+
+
+def test_completeness_names_extra_members_of_a_bad_part(l61_cert):
+    """A non-matching member fails its part and is also reported as extra."""
+    parts = [list(p) for p in l61_cert.parts]
+    parts[0][0] = tuple(range(1, 7))  # the identity uses every hole edge
+    report = check_partition(make_certificate(l61_cert.graph, parts, complete=True))
+    assert not report.ok
+    assert {"not_matching", "missing", "extra"} <= kinds(report.violations)
+
+
+def block_diagonal_parts(blocks):
+    """The graph of `blocks` diagonal 2x2 all-ones blocks and its partition.
+
+    Every matching picks I2 or R2 per block; a part pairs a matching with
+    its flip in every block.
+    """
+    n = 2 * blocks
+    graph = from_matrix([0b11 << (2 * (i // 2)) for i in range(n)])
+
+    def matching(bits):
+        images = []
+        for k in range(blocks):
+            low, high = 2 * k + 1, 2 * k + 2
+            images.extend((high, low) if bits >> k & 1 else (low, high))
+        return tuple(images)
+
+    full = (1 << blocks) - 1
+    return graph, [(matching(b), matching(b ^ full)) for b in range(1 << (blocks - 1))]
+
+
+def test_completeness_of_a_large_sparse_matrix_is_cheap():
+    """n = 26 with 8192 matchings: Ryser's permanent would take about a
+    minute here, while counting up to the members takes milliseconds."""
+    graph, parts = block_diagonal_parts(13)
+    start = time.perf_counter()
+    report = check_partition(make_certificate(graph, parts, complete=True))
+    assert report.ok and report.n_matchings == 8192
+    assert time.perf_counter() - start < 10
+
+    report = check_partition(make_certificate(graph, parts[1:], complete=True))
+    assert [str(v) for v in report.violations] == [
+        f"missing: matching {list(p)} uncovered" for p in sorted(parts[0])
+    ]
 
 
 def test_swapped_members_fail_two_parts(l61_cert):
