@@ -44,16 +44,21 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--matrix", metavar="FILE", help="0/1 adjacency rows, one per line")
 
 
+def _read_matrix(parser: argparse.ArgumentParser, path: str) -> GraphSpec:
+    try:
+        with open(path, encoding="ascii") as fh:
+            rows = [line.strip() for line in fh if line.strip()]
+        return from_matrix(rows)
+    except (OSError, ValueError) as exc:
+        parser.error(f"bad matrix file {path}: {exc}")
+    raise AssertionError("unreachable")
+
+
 def _graph_from_flags(parser: argparse.ArgumentParser, args) -> GraphSpec:
     if args.matrix is not None:
         if args.r is not None or args.m is not None or args.n is not None:
             parser.error("--matrix excludes --r/--m/--n")
-        try:
-            with open(args.matrix, encoding="ascii") as fh:
-                rows = [line.strip() for line in fh if line.strip()]
-            return from_matrix(rows)
-        except (OSError, ValueError) as exc:
-            parser.error(f"bad matrix file {args.matrix}: {exc}")
+        return _read_matrix(parser, args.matrix)
     if args.r is None:
         parser.error("need --r (with --m or --n) or --matrix FILE")
     try:
@@ -136,9 +141,7 @@ def _build_target(parser, args):
 
 
 def _cmd_construct(parser, args) -> int:
-    if args.y0 is not None and args.target != "l61":
-        parser.error("--y0/--seed/--pattern apply to --target l61 only")
-    if (args.seed or args.pattern) and args.target != "l61":
+    if (args.y0 is not None or args.seed or args.pattern) and args.target != "l61":
         parser.error("--y0/--seed/--pattern apply to --target l61 only")
     if args.golden and args.target != "l61":
         parser.error("--golden applies to --target l61 only")
@@ -228,12 +231,7 @@ def _cmd_search(parser, args) -> int:
     else:
         if args.matrix is None:
             parser.error("need --target or --matrix FILE")
-        try:
-            with open(args.matrix, encoding="ascii") as fh:
-                rows = [line.strip() for line in fh if line.strip()]
-            spec = from_matrix(rows)
-        except (OSError, ValueError) as exc:
-            parser.error(f"bad matrix file {args.matrix}: {exc}")
+        spec = _read_matrix(parser, args.matrix)
         asserted = False
 
     try:

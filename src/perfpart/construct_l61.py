@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .graph_model import GraphSpec, l_graph
+from .graph_model import GraphSpec, degree, l_graph
 from .matchings import classify_l61, enumerate_matchings, label_l61
 from .perm_core import Perm, cycles_of, from_cycle_tuples, inverse, to_cycles
+from .search import edge_masks, exact_cover
 from .verifier import PartitionCertificate, check_factorization, make_certificate
 
 N = 6
@@ -266,50 +266,39 @@ def build_t1() -> list[tuple[Perm, ...]]:
     return parts
 
 
-def _edge_disjoint(p: Perm, q: Perm) -> bool:
-    return all(a != b for a, b in zip(p, q))
-
-
 def build_t3(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
     """3 parts: the axis zone's C24 members grouped around the (1 y0) anchors.
 
-    Groups are found by constrained matching: split the twelve C24 elements
-    into three 4-sets, each forming a factorization with one of the three
-    C222 elements containing the 2-cycle (1 y0).  The search is deterministic
-    (ascending image order, first solution kept) and every kept part passes
-    check_factorization before it is committed.
+    Each of the three C222 elements containing the 2-cycle (1 y0), taken in
+    ascending order, is completed to a factorization by an exact cover of
+    the edges with the anchor forced and four of the still unused C24
+    elements; the first cover in ascending order is kept.  The grouping is
+    forced (each anchor has exactly one completing 4-set), and every part
+    passes check_factorization before it is committed.
     """
     if zone.y != y0:
         raise ValueError(f"zone is for class {zone.y}, not the axis {y0}")
-    quads = sorted(zone.quads)
+    spec = _graph()
+    n_edges = spec.n * degree(spec)
+    remaining = sorted(zone.quads)
     anchors = sorted(p for p in _classes()["C222"] if (1, y0) in cycles_of(p))
-    assert len(anchors) == 3 and len(quads) == 12
+    assert len(anchors) == 3 and len(remaining) == 12
 
     parts: list[tuple[Perm, ...]] = []
-
-    def place(k: int, remaining: tuple[Perm, ...]) -> bool:
-        if k == len(anchors):
-            return True
-        mu = anchors[k]
-        usable = [q for q in remaining if _edge_disjoint(mu, q)]
-        for group in combinations(usable, 4):
-            if any(not _edge_disjoint(a, b) for a, b in combinations(group, 2)):
-                continue
-            part = (mu, *group)
-            if check_factorization(_graph(), part):
-                continue
-            parts.append(part)
-            if place(k + 1, tuple(q for q in remaining if q not in group)):
-                return True
-            parts.pop()
-        return False
-
-    if not place(0, tuple(quads)):
-        raise RuntimeError(
-            f"no grouping of the zone-{y0} C24 members around the three "
-            f"(1 {y0}) anchors yields factorizations"
-        )
-    assert sorted(q for part in parts for q in part[1:]) == quads
+    for mu in anchors:
+        rows = [mu, *remaining]
+        cover = next(exact_cover(n_edges, edge_masks(spec, rows), forced=(0,)), None)
+        if cover is None:
+            raise RuntimeError(
+                f"no grouping of the zone-{y0} C24 members around the three "
+                f"(1 {y0}) anchors yields factorizations"
+            )
+        part = tuple(rows[i] for i in cover)
+        if check_factorization(spec, part):
+            raise RuntimeError(f"t3 part around {to_cycles(mu)} fails verification")
+        parts.append(part)
+        remaining = [q for q in remaining if q not in part]
+    assert not remaining
     return parts
 
 

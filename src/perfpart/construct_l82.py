@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .graph_model import Block, GraphSpec, I2, J2, O2, R2, invertible_blocks, l_graph
+from .graph_model import GraphSpec, from_matrix, invertible_blocks, l_graph
 from .matchings import (
     classify_l82,
     enumerate_matchings,
@@ -41,58 +41,46 @@ from .verifier import PartitionCertificate, check_factorization, make_certificat
 
 N = 8
 
-EBlock = Block
+# An E-block is the cell (a, b), a and b in {1, 2}, of its single one; an
+# invertible block is the pair of its two cells.
+EBlock = tuple[int, int]
+InvBlock = tuple[EBlock, EBlock]
 
-E11: EBlock = ((1, 0), (0, 0))
-E12: EBlock = ((0, 1), (0, 0))
-E21: EBlock = ((0, 0), (1, 0))
-E22: EBlock = ((0, 0), (0, 1))
+E11: EBlock = (1, 1)
+E12: EBlock = (1, 2)
+E21: EBlock = (2, 1)
+E22: EBlock = (2, 2)
 
 E_BLOCKS: tuple[EBlock, ...] = (E11, E12, E21, E22)
 
-
-@lru_cache(maxsize=None)
-def eb(a: int, b: int) -> EBlock:
-    """The E-block with its single one at cell (a, b), a and b in {1, 2}."""
-    return tuple(
-        tuple(1 if (r, c) == (a, b) else 0 for c in (1, 2)) for r in (1, 2)
-    )  # type: ignore[return-value]
-
-
-def e_row(e: EBlock) -> int:
-    return 1 if e[0] != (0, 0) else 2
-
-
-def e_col(e: EBlock) -> int:
-    return 1 if (e[0][0] or e[1][0]) else 2
+I2: InvBlock = (E11, E22)
+R2: InvBlock = (E12, E21)
 
 
 def e_complement(e: EBlock) -> EBlock:
-    return eb(3 - e_row(e), 3 - e_col(e))
+    return (3 - e[0], 3 - e[1])
 
 
 def e_row_flip(e: EBlock) -> EBlock:
-    return eb(3 - e_row(e), e_col(e))
+    return (3 - e[0], e[1])
 
 
 def e_col_flip(e: EBlock) -> EBlock:
-    return eb(e_row(e), 3 - e_col(e))
+    return (e[0], 3 - e[1])
 
 
-Grid = dict[tuple[int, int], Block]
+Grid = dict[tuple[int, int], EBlock | InvBlock]
 
 
 def _grid_perm(cells: Grid) -> Perm:
     """Collapse sparse 4x4 block cells into the permutation they encode."""
     images = [0] * N
     for (bi, bj), blk in cells.items():
-        for a in (1, 2):
-            for b in (1, 2):
-                if blk[a - 1][b - 1]:
-                    row = 2 * (bi - 1) + a
-                    if images[row - 1]:
-                        raise RuntimeError(f"two images in row {row}")
-                    images[row - 1] = 2 * (bj - 1) + b
+        for a, b in (blk,) if isinstance(blk[0], int) else blk:
+            row = 2 * (bi - 1) + a
+            if images[row - 1]:
+                raise RuntimeError(f"two images in row {row}")
+            images[row - 1] = 2 * (bj - 1) + b
     if not is_permutation(images, N):
         raise RuntimeError(f"block cells do not form a permutation: {cells}")
     return tuple(images)
@@ -108,30 +96,22 @@ def _classes() -> dict[str, tuple[Perm, ...]]:
     return {k: tuple(v) for k, v in classify_l82(enumerate_matchings(_graph())).items()}
 
 
-def _slot_cells(inv: Block) -> tuple[EBlock, EBlock]:
-    """The two E-blocks summing to J2 minus an invertible block."""
-    if inv == I2:
-        return (E12, E21)
-    if inv == R2:
-        return (E11, E22)
-    raise ValueError(f"not invertible: {inv}")
-
-
 def _by_row(pair: tuple[EBlock, EBlock], a: int) -> EBlock:
-    return pair[0] if e_row(pair[0]) == a else pair[1]
+    return pair[0] if pair[0][0] == a else pair[1]
 
 
 def _by_col(pair: tuple[EBlock, EBlock], b: int) -> EBlock:
-    return pair[0] if e_col(pair[0]) == b else pair[1]
+    return pair[0] if pair[0][1] == b else pair[1]
 
 
 def _other(pair: tuple[EBlock, EBlock], taken: EBlock) -> EBlock:
     return pair[1] if pair[0] == taken else pair[0]
 
 
-def _co_invertible(e: EBlock) -> Block:
-    """J2 minus the complementary pair through e: R2 for diagonal e, else I2."""
-    return R2 if e_row(e) == e_col(e) else I2
+def _co_invertible(e: EBlock) -> InvBlock:
+    """The all-ones block minus the complementary pair through e: R2 for
+    diagonal e, else I2."""
+    return R2 if e[0] == e[1] else I2
 
 
 @dataclass(frozen=True)
@@ -175,19 +155,16 @@ def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]
         (i, k): e2,
         (j, 1): e3,
         (k, i): e4,
-        (1, k): eb(3 - e_row(e1), 3 - e_col(e2)),
-        (i, j): eb(3 - e_row(e2), 3 - e_col(e1)),
-        (k, 1): eb(3 - e_row(e4), 3 - e_col(e3)),
-        (j, i): eb(3 - e_row(e3), 3 - e_col(e4)),
+        (1, k): (3 - e1[0], 3 - e2[1]),
+        (i, j): (3 - e2[0], 3 - e1[1]),
+        (k, 1): (3 - e4[0], 3 - e3[1]),
+        (j, i): (3 - e3[0], 3 - e4[1]),
     }
     q_grid: Grid = {pos: e_complement(b) for pos, b in p_grid.items()}
 
     def slot(pos: tuple[int, int]) -> tuple[EBlock, EBlock]:
         # cells not used by P+Q at an E-position; always a complementary pair
-        return (
-            eb(e_row(p_grid[pos]), 3 - e_col(p_grid[pos])),
-            eb(3 - e_row(p_grid[pos]), e_col(p_grid[pos])),
-        )
+        return (e_col_flip(p_grid[pos]), e_row_flip(p_grid[pos]))
 
     s: Grid = {}
     t: Grid = {}
@@ -202,43 +179,43 @@ def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]
     # the 1536).  Flipping on the parity below is a verified choice that
     # makes S, T, U, V each range over their whole position class.
     t_seed_row = (
-        e_row(p_grid[1, k])
-        if (e_col(e1) + e_row(e2) + e_row(e3)) % 2
-        else e_row(e1)
+        p_grid[1, k][0]
+        if (e1[1] + e2[0] + e3[0]) % 2
+        else e1[0]
     )
     t[1, j] = _by_row(slot((1, j)), t_seed_row)
-    t[1, k] = _by_row(slot((1, k)), 3 - e_row(t[1, j]))
+    t[1, k] = _by_row(slot((1, k)), 3 - t[1, j][0])
     v[1, k] = _other(slot((1, k)), t[1, k])
-    v[i, k] = _by_col(slot((i, k)), 3 - e_col(v[1, k]))
+    v[i, k] = _by_col(slot((i, k)), 3 - v[1, k][1])
     s[i, k] = _other(slot((i, k)), v[i, k])
-    s[i, j] = _by_row(slot((i, j)), 3 - e_row(s[i, k]))
+    s[i, j] = _by_row(slot((i, j)), 3 - s[i, k][0])
     u[i, j] = _other(slot((i, j)), s[i, j])
-    u[1, j] = _by_col(slot((1, j)), 3 - e_col(u[i, j]))
+    u[1, j] = _by_col(slot((1, j)), 3 - u[i, j][1])
     if u[1, j] != _other(slot((1, j)), t[1, j]):
         raise RuntimeError(f"top chain failed to close for {pattern} {free}")
 
     # chain through the left block columns: V(j,1) -> V(j,i) -> T(j,i)
     # -> T(k,i) -> U(k,i) -> U(k,1) -> S(k,1) -> S(j,1), closing at (j, 1)
-    v[j, 1] = _by_row(slot((j, 1)), e_row(p_grid[j, i]))
-    v[j, i] = _by_row(slot((j, i)), 3 - e_row(v[j, 1]))
+    v[j, 1] = _by_row(slot((j, 1)), p_grid[j, i][0])
+    v[j, i] = _by_row(slot((j, i)), 3 - v[j, 1][0])
     t[j, i] = _other(slot((j, i)), v[j, i])
-    t[k, i] = _by_col(slot((k, i)), 3 - e_col(t[j, i]))
+    t[k, i] = _by_col(slot((k, i)), 3 - t[j, i][1])
     u[k, i] = _other(slot((k, i)), t[k, i])
-    u[k, 1] = _by_row(slot((k, 1)), 3 - e_row(u[k, i]))
+    u[k, 1] = _by_row(slot((k, 1)), 3 - u[k, i][0])
     s[k, 1] = _other(slot((k, 1)), u[k, 1])
-    s[j, 1] = _by_col(slot((j, 1)), 3 - e_col(s[k, 1]))
+    s[j, 1] = _by_col(slot((j, 1)), 3 - s[k, 1][1])
     if s[j, 1] != _other(slot((j, 1)), v[j, 1]):
         raise RuntimeError(f"left chain failed to close for {pattern} {free}")
 
     # corners: at each pattern position two E-blocks meet one invertible block
-    s[j, k] = eb(3 - e_row(s[j, 1]), 3 - e_col(s[i, k]))
-    t[j, k] = eb(3 - e_row(t[j, i]), 3 - e_col(t[1, k]))
-    s[k, j] = eb(3 - e_row(s[k, 1]), 3 - e_col(s[i, j]))
-    t[k, j] = eb(3 - e_row(t[k, i]), 3 - e_col(t[1, j]))
-    v[1, i] = eb(3 - e_row(v[1, k]), 3 - e_col(v[j, i]))
-    u[1, i] = eb(3 - e_row(u[1, j]), 3 - e_col(u[k, i]))
-    v[i, 1] = eb(3 - e_row(v[i, k]), 3 - e_col(v[j, 1]))
-    u[i, 1] = eb(3 - e_row(u[i, j]), 3 - e_col(u[k, 1]))
+    s[j, k] = (3 - s[j, 1][0], 3 - s[i, k][1])
+    t[j, k] = (3 - t[j, i][0], 3 - t[1, k][1])
+    s[k, j] = (3 - s[k, 1][0], 3 - s[i, j][1])
+    t[k, j] = (3 - t[k, i][0], 3 - t[1, j][1])
+    v[1, i] = (3 - v[1, k][0], 3 - v[j, i][1])
+    u[1, i] = (3 - u[1, j][0], 3 - u[k, i][1])
+    v[i, 1] = (3 - v[i, k][0], 3 - v[j, 1][1])
+    u[i, 1] = (3 - u[i, j][0], 3 - u[k, 1][1])
     for a, b in ((t[j, k], s[j, k]), (t[k, j], s[k, j]), (v[1, i], u[1, i]), (v[i, 1], u[i, 1])):
         if a != e_complement(b):
             raise RuntimeError(f"corner cells not complementary for {pattern} {free}")
@@ -283,53 +260,24 @@ def build_type1() -> list[tuple[Perm, ...]]:
 def _residual_pairs(members: tuple[Perm, ...]) -> list[tuple[Perm, Perm]]:
     """Every unordered matching pair summing to adjacency minus the members.
 
-    The residual must hold exactly two ones in every row and column, so its
-    cells split into even alternating cycles; 2-coloring each cycle and
-    taking every color assignment enumerates all decompositions.
+    The residual keeps two cells in every row, so each of its matchings
+    pairs with the matching formed by the cells it leaves; each pair is
+    listed once, as (smaller, larger), in sorted order.
     """
-    spec = _graph()
-    count = [
-        [int(spec.adjacency(r, c)) for c in range(1, N + 1)]
-        for r in range(1, N + 1)
-    ]
+    rows = list(_graph().rows)
     for p in members:
-        for row, img in enumerate(p, start=1):
-            count[row - 1][img - 1] -= 1
-            if count[row - 1][img - 1] < 0:
+        for row, img in enumerate(p):
+            if not rows[row] >> (img - 1) & 1:
                 raise RuntimeError("family members overlap")
-    cells = [(r, c) for r in range(N) for c in range(N) if count[r][c]]
-    assert len(cells) == 2 * N
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for cell in cells:
-        by_row.setdefault(cell[0], []).append(cell)
-        by_col.setdefault(cell[1], []).append(cell)
-    assert all(len(g) == 2 for g in (*by_row.values(), *by_col.values()))
-
-    color: dict[tuple[int, int], int] = {}
-    components = 0
-    for start in cells:
-        if start in color:
-            continue
-        components += 1
-        cur, via_row, c = start, True, 0
-        while cur not in color:
-            color[cur] = (components - 1) * 2 + c  # component id and parity
-            group = by_row[cur[0]] if via_row else by_col[cur[1]]
-            cur = group[1] if group[0] == cur else group[0]
-            via_row = not via_row
-            c ^= 1
-
-    pairs = set()
-    for bits in product((0, 1), repeat=components):
-        halves: tuple[list[int], list[int]] = ([0] * N, [0] * N)
-        for cell in cells:
-            comp, parity = divmod(color[cell], 2)
-            halves[parity ^ bits[comp]][cell[0]] = cell[1] + 1
-        b1, b2 = tuple(halves[0]), tuple(halves[1])
-        assert is_permutation(b1, N) and is_permutation(b2, N)
-        pairs.add((b1, b2) if b1 <= b2 else (b2, b1))
-    return sorted(pairs)
+            rows[row] ^= 1 << (img - 1)
+    assert all(r.bit_count() == 2 for r in rows)
+    pairs = []
+    for b1 in enumerate_matchings(from_matrix(rows)):
+        b2 = tuple((r ^ 1 << (x - 1)).bit_length() for r, x in zip(rows, b1))
+        assert is_permutation(b2, N)
+        if b1 < b2:
+            pairs.append((b1, b2))
+    return pairs
 
 
 CYCLE_REPS: tuple[tuple[int, int, int, int], ...] = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))
@@ -349,7 +297,7 @@ def _chord_parity(rep_zero: tuple[Grid, Grid], pos: tuple[int, int]) -> int:
     Invariant under every seed that rebuilds the same member set, so rules
     keyed on it are functions of the part alone.
     """
-    cells = {(e_row(g[pos]), e_col(g[pos])) for g in rep_zero}
+    cells = {g[pos] for g in rep_zero}
     if cells == {(1, 1), (2, 2)}:
         return 0
     if cells == {(1, 2), (2, 1)}:
@@ -412,20 +360,20 @@ def _type2_grids(
         (j, 1): chj1,
         (k, i): chki,
         (i, k): chik,
-        (1, k): eb(3 - e_row(ch1j), 3 - e_col(chik)),
-        (k, j): eb(3 - e_row(chki), 3 - e_col(ch1j)),
-        (j, i): eb(3 - e_row(chj1), 3 - e_col(chki)),
-        (i, 1): eb(3 - e_row(chik), 3 - e_col(chj1)),
+        (1, k): (3 - ch1j[0], 3 - chik[1]),
+        (k, j): (3 - chki[0], 3 - ch1j[1]),
+        (j, i): (3 - chj1[0], 3 - chki[1]),
+        (i, 1): (3 - chik[0], 3 - chj1[1]),
     }
     a1p: Grid = {
         (1, j): ch1j,
         (j, 1): chj1,
         (k, i): chki,
         (i, k): chik,
-        (1, i): eb(3 - e_row(ch1j), 3 - e_col(chki)),
-        (i, j): eb(3 - e_row(chik), 3 - e_col(ch1j)),
-        (j, k): eb(3 - e_row(chj1), 3 - e_col(chik)),
-        (k, 1): eb(3 - e_row(chki), 3 - e_col(chj1)),
+        (1, i): (3 - ch1j[0], 3 - chki[1]),
+        (i, j): (3 - chik[0], 3 - ch1j[1]),
+        (j, k): (3 - chj1[0], 3 - chik[1]),
+        (k, 1): (3 - chki[0], 3 - chj1[1]),
     }
     a2 = {pos: e_complement(b) for pos, b in a1.items()}
     a2p = {pos: e_complement(b) for pos, b in a1p.items()}
@@ -518,7 +466,7 @@ def build_type2() -> list[tuple[Perm, ...]]:
 FLIP_SETS: tuple[tuple[int, ...], ...] = ((), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4))
 
 
-def _expand(block_perm: Perm, cell: Block) -> Perm:
+def _expand(block_perm: Perm, cell: InvBlock) -> Perm:
     """Inflate a 4x4 block matching by placing one invertible cell per block."""
     return _grid_perm({(p, block_perm[p - 1]): cell for p in range(1, 5)})
 

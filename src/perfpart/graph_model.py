@@ -21,7 +21,6 @@ Block = tuple[tuple[int, int], tuple[int, int]]
 I2: Block = ((1, 0), (0, 1))
 R2: Block = ((0, 1), (1, 0))
 O2: Block = ((0, 0), (0, 0))
-J2: Block = ((1, 1), (1, 1))
 
 MAX_N = 64
 

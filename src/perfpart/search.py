@@ -138,18 +138,24 @@ def exact_cover(
     yield from index.covers(index.all_rows, forced, budget)
 
 
+def edge_masks(spec: GraphSpec, perms: Sequence[Perm]) -> list[int]:
+    """Each matching as an edge bitmask: bit k is the k-th edge of spec.edges().
+
+    A set of masks exactly covers the spec.n * degree(spec) edge columns
+    when its matchings form a 1-factorization.
+    """
+    edge = {e: k for k, e in enumerate(spec.edges())}
+    return [sum(1 << edge[(i, x)] for i, x in enumerate(p, start=1)) for p in perms]
+
+
 def matching_index(spec: GraphSpec) -> tuple[list[Perm], CoverIndex]:
     """All matchings of spec in lexicographic order, and their edge-cover index.
 
-    Row k of the index is matchings[k] as a bitmask over the graph's edges;
-    an exact cover of the edges is a 1-factorization.
+    Row k of the index is edge_masks of matchings[k]; an exact cover of the
+    edges is a 1-factorization.
     """
     matchings = list(enumerate_matchings(spec))
-    edge = {e: k for k, e in enumerate(spec.edges())}
-    masks = [
-        sum(1 << edge[(i, x)] for i, x in enumerate(p, start=1)) for p in matchings
-    ]
-    return matchings, CoverIndex(spec.n * degree(spec), masks)
+    return matchings, CoverIndex(spec.n * degree(spec), edge_masks(spec, matchings))
 
 
 def find_factorizations(

@@ -14,8 +14,6 @@ from importlib import resources
 
 from .perm_core import Perm, parse_cycles
 
-ZoneRow = tuple[int, tuple[Perm, ...]]
-
 
 def _data_lines(name: str) -> list[str]:
     text = resources.files("perfpart.data").joinpath(name).read_text("utf-8")

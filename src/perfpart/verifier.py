@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from itertools import islice
 
 from .counting import count_matchings
-from .graph_model import GraphSpec, degree, from_matrix, l_graph, row_strings
+from .graph_model import GraphSpec, degree, from_matrix, is_matching, l_graph, row_strings
 from .matchings import enumerate_matchings
 from .perm_core import Perm, is_permutation
 
@@ -157,6 +157,13 @@ class PartitionReport:
         )
 
 
+def _closed_count(spec: GraphSpec) -> int | None:
+    """The matching count of an L graph by its closed form; None for a matrix."""
+    if spec.kind == "L" and spec.r is not None:
+        return count_matchings(spec.r, spec.m, n=spec.n)
+    return None
+
+
 def _has_exactly(spec: GraphSpec, count: int) -> bool:
     """True when the graph has exactly `count` matchings, given that it has
     at least that many.
@@ -165,9 +172,39 @@ def _has_exactly(spec: GraphSpec, count: int) -> bool:
     past `count`, which costs about as much as reading a certificate of that
     size; Ryser's permanent would cost 2^n whatever the certificate.
     """
-    if spec.kind == "L" and spec.r is not None:
-        return count_matchings(spec.r, spec.m, n=spec.n) == count
+    total = _closed_count(spec)
+    if total is not None:
+        return total == count
     return next(islice(enumerate_matchings(spec), count, None), None) is None
+
+
+# A failed completeness claim names at most this many missing matchings.
+MISSING_NAMED = 100
+
+
+def _completeness_violations(spec: GraphSpec, have: dict[Perm, int]) -> list[Violation]:
+    """The missing and extra matchings of a failed claim of completeness.
+
+    Extra members are those that are not matchings of the graph.  Missing
+    matchings are streamed in lexicographic order and the first
+    MISSING_NAMED are named; any further ones get one summary line, with
+    their count when the graph has a closed form.
+    """
+    extra = sorted(p for p in have if not is_matching(spec, p))
+    missing = islice(
+        (p for p in enumerate_matchings(spec) if p not in have), MISSING_NAMED + 1
+    )
+    out = [Violation("missing", f"matching {list(p)} uncovered") for p in missing]
+    if len(out) > MISSING_NAMED:
+        total = _closed_count(spec)
+        covered = len(have) - len(extra)
+        count = "" if total is None else f"{total - covered - MISSING_NAMED} "
+        out[MISSING_NAMED] = Violation(
+            "missing",
+            f"{count}more matchings uncovered; only the first {MISSING_NAMED} are named",
+        )
+    out.extend(Violation("extra", f"{list(p)} is not a matching of the graph") for p in extra)
+    return out
 
 
 def check_partition(cert: PartitionCertificate) -> PartitionReport:
@@ -175,8 +212,9 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
 
     Once every member is a valid matching and no two are equal, the claim
     of completeness holds exactly when the graph has no further matching,
-    which _has_exactly decides by count.  All matchings are enumerated only
-    to name what is missing or extra when that test does not pass.
+    which _has_exactly decides by count.  Matchings are enumerated only to
+    name what is missing when that test does not pass, and only up to the
+    first MISSING_NAMED of them.
     """
     spec = cert.graph
     violations: list[Violation] = []
@@ -201,14 +239,7 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
             seen.setdefault(p, k)
 
     if cert.complete and (violations or not _has_exactly(spec, len(seen))):
-        want = set(enumerate_matchings(spec))
-        have = set(seen)
-        for p in sorted(want - have):
-            violations.append(Violation("missing", f"matching {list(p)} uncovered"))
-        for p in sorted(have - want):
-            violations.append(
-                Violation("extra", f"{list(p)} is not a matching of the graph")
-            )
+        violations.extend(_completeness_violations(spec, seen))
 
     return PartitionReport(
         ok=not violations,

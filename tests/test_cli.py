@@ -158,6 +158,7 @@ def test_construct_usage_errors():
     usage_error("construct", "--target", "l82", "--golden")
     usage_error("construct", "--target", "knn:3", "--y0", "2")
     usage_error("construct", "--target", "l61", "--seed", "(1 2)(3 4)")
+    usage_error("construct", "--target", "l82", "--pattern", "(1 2 3)(4 6 5)")
 
 
 def test_construct_rejects_oversized_group_targets():
@@ -207,6 +208,21 @@ def test_verify_names_the_missing_part_of_a_matrix_certificate(run, tmp_path):
         "FAIL: 5 parts, 20 matchings, 4 violation(s)",
         *(f"  missing: matching {list(p)} uncovered" for p in sorted(parts[0])),
     ]
+
+
+def test_verify_caps_the_missing_list_of_a_huge_graph(run, tmp_path):
+    """A one-part K_{11,11} certificate claiming completeness fails with 100
+    named matchings and one summary line, not with a MemoryError."""
+    part = [tuple((i + k) % 11 + 1 for i in range(11)) for k in range(11)]
+    path = tmp_path / "k11.json"
+    save_certificate(make_certificate(l_graph(0, n=11), [part], complete=True), path)
+
+    code, out = run("verify", str(path))
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 102
+    assert lines[0] == "FAIL: 1 parts, 11 matchings, 101 violation(s)"
+    assert all(ln.startswith("  missing: matching [") for ln in lines[1:101])
+    assert lines[101] == "  missing: 39916689 more matchings uncovered; only the first 100 are named"
 
 
 def test_verify_unreadable_file(run, tmp_path):
@@ -262,10 +278,11 @@ def test_search_large_matrix_ends_in_a_verdict(run, tmp_path):
         assert code == 0 and first == "FOUND: 2016 parts of 6"
 
 
-def test_search_usage_errors(circulant_file):
+def test_search_usage_errors(circulant_file, tmp_path):
     usage_error("search")
     usage_error("search", "--target", "l99")
     usage_error("search", "--target", "l41", "--matrix", circulant_file)
+    usage_error("search", "--matrix", str(tmp_path / "no-such-file.txt"))
 
 
 def test_check_extendability(run):

@@ -21,6 +21,7 @@ from perfpart.construct_l61 import (
 from perfpart.graph_model import l_graph
 from perfpart.matchings import label_l61
 from perfpart.perm_core import cycles_of, from_cycle_tuples, inverse, parse_cycles
+from perfpart.search import edge_masks, exact_cover
 from perfpart.tables import (
     canonical_parts,
     diff_parts,
@@ -242,3 +243,25 @@ def test_every_seed_and_pattern_of_one_class_builds(l61_classes):
 def test_build_l61_rejects_bad_axis():
     with pytest.raises(ValueError, match="axis"):
         build_l61(1)
+
+
+def test_every_t3_anchor_has_exactly_one_completing_cover(l61_classes):
+    """build_t3 keeps the first exact cover per anchor; over every axis, seed
+    and pattern that build_l61 accepts, that cover is the only one, so the
+    grouping does not depend on the order the anchors are taken in."""
+    spec = l_graph(1, 6)
+    inputs = 0
+    for y0 in range(2, 7):
+        anchors = sorted(p for p in l61_classes["C222"] if (1, y0) in cycles_of(p))
+        for rep in c33_reps(l61_classes):
+            for beta in patterns_of(rep):
+                quads = sorted(linked_zones(rep, beta, y0)[y0].quads)
+                used = []
+                for mu in anchors:
+                    rows = [mu, *quads]
+                    covers = list(exact_cover(30, edge_masks(spec, rows), forced=(0,)))
+                    assert len(covers) == 1
+                    used.extend(rows[i] for i in covers[0][1:])
+                assert sorted(used) == quads
+                inputs += 1
+    assert inputs == 200

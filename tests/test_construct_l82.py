@@ -15,33 +15,32 @@ from perfpart.construct_l82 import (
     FLIP_SETS,
     ZERO_PATTERNS,
     ZeroPattern,
+    _residual_pairs,
     classify_parts,
-    e_col,
     e_col_flip,
     e_complement,
-    e_row,
     e_row_flip,
-    eb,
     type1_part,
     type2_families,
     type2_literal_diagnostic,
 )
 from perfpart.graph_model import block_view, l_graph, zero_blocks
-from perfpart.matchings import has_transposition_zero_pattern, label_l82
+from perfpart.matchings import enumerate_matchings, has_transposition_zero_pattern, label_l82
 from perfpart.verifier import check_factorization, check_partition
 
 
 def grid_block(p, pos):
-    """The E-block a permutation carries at 1-based block position pos."""
+    """The E-block (the cell of its one) a permutation carries at 1-based
+    block position pos."""
     cell = block_view(p)[pos[0] - 1][pos[1] - 1]
     ones = [(a + 1, b + 1) for a in range(2) for b in range(2) if cell[a][b]]
     assert len(ones) == 1, f"block at {pos} is not an E-block"
-    return eb(*ones[0])
+    return ones[0]
 
 
 def test_e_block_helpers():
-    assert eb(1, 1) == E11 and eb(2, 1) == E21
-    assert (e_row(E12), e_col(E12)) == (1, 2)
+    assert E_BLOCKS == ((1, 1), (1, 2), (2, 1), (2, 2))
+    assert (e_complement(E12), e_row_flip(E12), e_col_flip(E12)) == (E21, E22, E11)
     for e in E_BLOCKS:
         assert e_complement(e) == e_row_flip(e_col_flip(e))
         assert {e, e_complement(e), e_row_flip(e), e_col_flip(e)} == set(E_BLOCKS)
@@ -216,3 +215,36 @@ def test_type2_sweep_builds_each_part_four_times(type2_parts, type2_sweep):
     )
     assert len(canonical) == 384 and set(canonical.values()) == {1}
     assert sorted(canonical) == type2_parts
+
+
+def test_residual_pairs_match_a_brute_force_oracle():
+    """Over every family of one cycle representative (plain, primed and the
+    literal diagnostic), the residual decompositions are exactly the pairs
+    of L(2, 4) matchings that split the residual's cells."""
+    spec = l_graph(2, 4)
+    cells = {}
+    for p in enumerate_matchings(spec):
+        cells[p] = sum(1 << (8 * i + x - 1) for i, x in enumerate(p))
+    full = sum(row << (8 * i) for i, row in enumerate(spec.rows))
+
+    def oracle(members):
+        residual = full & ~sum(cells[m] for m in members)
+        inside = [p for p, mask in cells.items() if not mask & ~residual]
+        return sorted(
+            (a, b) for a in inside for b in inside if a < b and cells[a] | cells[b] == residual
+        )
+
+    cycle = CYCLE_REPS[0]
+    for chords in product(E_BLOCKS, repeat=4):
+        members, pairs = type2_literal_diagnostic(cycle, chords)
+        assert pairs == oracle(members)
+        for fam in type2_families(cycle, chords):
+            members = tuple(m for m in fam if label_l82(m) == "S0")
+            assert len(members) == 4
+            assert _residual_pairs(members) == oracle(members)
+
+
+def test_residual_pairs_reject_overlapping_members():
+    fam = type2_families(CYCLE_REPS[0], (E11, E11, E11, E11))[0]
+    with pytest.raises(RuntimeError, match="overlap"):
+        _residual_pairs((fam[0], fam[0]))

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from functools import lru_cache
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given
@@ -225,6 +226,44 @@ def test_completeness_of_a_large_sparse_matrix_is_cheap():
     assert [str(v) for v in report.violations] == [
         f"missing: matching {list(p)} uncovered" for p in sorted(parts[0])
     ]
+
+
+def cyclic_part(n):
+    """The n cyclic shifts of 1..n: one 1-factorization of K_{n,n}."""
+    return [tuple((i + k) % n + 1 for i in range(n)) for k in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["L", "matrix"])
+def test_missing_matchings_of_a_huge_graph_are_capped(kind):
+    """K_{11,11} has 39916800 matchings; a complete claim holding one part
+    names the first 100 missing ones and sums up the rest in one line."""
+    n = 11
+    graph = l_graph(0, n=n) if kind == "L" else from_matrix(["1" * n] * n)
+    part = cyclic_part(n)
+    start = time.perf_counter()
+    report = check_partition(make_certificate(graph, [part], complete=True))
+    assert time.perf_counter() - start < 5
+    assert not report.ok and kinds(report.violations) == {"missing"}
+    first = [p for p in islice(permutations(range(1, n + 1)), 200) if p not in part][:100]
+    lines = [str(v) for v in report.violations]
+    assert lines[:100] == [f"missing: matching {list(p)} uncovered" for p in first]
+    count = "39916689 " if kind == "L" else ""
+    assert lines[100:] == [
+        f"missing: {count}more matchings uncovered; only the first 100 are named"
+    ]
+
+
+@pytest.mark.parametrize("dropped, named, summary", [(50, 100, False), (51, 100, True)])
+def test_missing_cap_boundary(dropped, named, summary):
+    """100 missing matchings are all named; 102 get the summary line."""
+    graph, parts = block_diagonal_parts(8)
+    report = check_partition(make_certificate(graph, parts[dropped:], complete=True))
+    lines = [str(v) for v in report.violations]
+    want = sorted(m for part in parts[:dropped] for m in part)[:named]
+    assert lines[:named] == [f"missing: matching {list(p)} uncovered" for p in want]
+    assert lines[named:] == (
+        ["missing: more matchings uncovered; only the first 100 are named"] if summary else []
+    )
 
 
 def test_swapped_members_fail_two_parts(l61_cert):
