@@ -104,8 +104,42 @@ def _by_col(pair: tuple[EBlock, EBlock], b: int) -> EBlock:
     return pair[0] if pair[0][1] == b else pair[1]
 
 
-def _other(pair: tuple[EBlock, EBlock], taken: EBlock) -> EBlock:
-    return pair[1] if pair[0] == taken else pair[0]
+def _forced(grid: Grid, pos: tuple[int, int]) -> EBlock:
+    """The E-block that grid's row and column sums force at pos.
+
+    Its row is the other row of the grid's cell in the same block row, and its
+    column the other column of its cell in the same block column; each line
+    must already hold exactly one E-block besides pos.
+    """
+    row = col = 0
+    for (bi, bj), blk in grid.items():
+        if bi == pos[0] and bj != pos[1]:
+            row = 3 - blk[0]
+        elif bj == pos[1] and bi != pos[0]:
+            col = 3 - blk[1]
+    return (row, col)
+
+
+def _walk(p_grid: Grid, ring: tuple[tuple[int, int], ...], members: tuple[Grid, ...], seed_row: int) -> bool:
+    """Fill one determination chain around a block rectangle; True if it closes.
+
+    A slot is the complementary pair of cells that P + Q leave free at a ring
+    position.  members[0] takes ring[0]'s slot cell in seed_row; members[n]
+    then steps to ring[n + 1] along a block row (even n) or column (odd n),
+    taking the slot cell off its previous row (column), and members[n + 1]
+    takes the complementary cell.  The chain closes when members[3]'s cell at
+    ring[0] complements members[0]'s.
+    """
+    p = p_grid[ring[0]]
+    cell = first = members[0][ring[0]] = _by_row((e_col_flip(p), e_row_flip(p)), seed_row)
+    for n, pos in enumerate((*ring[1:], ring[0])):
+        p = p_grid[pos]
+        slot = (e_col_flip(p), e_row_flip(p))
+        cell = _by_row(slot, 3 - cell[0]) if n % 2 == 0 else _by_col(slot, 3 - cell[1])
+        members[n][pos] = cell
+        if n < 3:
+            cell = members[n + 1][pos] = e_complement(cell)
+    return cell == e_complement(first)
 
 
 def _co_invertible(e: EBlock) -> InvBlock:
@@ -150,26 +184,11 @@ def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]
     """
     i, j, k = pattern.i, pattern.j, pattern.k
     e1, e2, e3, e4 = free
-    p_grid: Grid = {
-        (1, j): e1,
-        (i, k): e2,
-        (j, 1): e3,
-        (k, i): e4,
-        (1, k): (3 - e1[0], 3 - e2[1]),
-        (i, j): (3 - e2[0], 3 - e1[1]),
-        (k, 1): (3 - e4[0], 3 - e3[1]),
-        (j, i): (3 - e3[0], 3 - e4[1]),
-    }
+    p_grid: Grid = {(1, j): e1, (i, k): e2, (j, 1): e3, (k, i): e4}
+    for pos in ((1, k), (i, j), (k, 1), (j, i)):
+        p_grid[pos] = _forced(p_grid, pos)
     q_grid: Grid = {pos: e_complement(b) for pos, b in p_grid.items()}
-
-    def slot(pos: tuple[int, int]) -> tuple[EBlock, EBlock]:
-        # cells not used by P+Q at an E-position; always a complementary pair
-        return (e_col_flip(p_grid[pos]), e_row_flip(p_grid[pos]))
-
-    s: Grid = {}
-    t: Grid = {}
-    u: Grid = {}
-    v: Grid = {}
+    s, t, u, v = {}, {}, {}, {}
 
     # chain through the top block rows: T(1,j) -> T(1,k) -> V(1,k) -> V(i,k)
     # -> S(i,k) -> S(i,j) -> U(i,j) -> U(1,j), closing back at slot (1, j).
@@ -178,51 +197,23 @@ def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]
     # across parts (any fixed tie to a single block of P covers only 960 of
     # the 1536).  Flipping on the parity below is a verified choice that
     # makes S, T, U, V each range over their whole position class.
-    t_seed_row = (
-        p_grid[1, k][0]
-        if (e1[1] + e2[0] + e3[0]) % 2
-        else e1[0]
-    )
-    t[1, j] = _by_row(slot((1, j)), t_seed_row)
-    t[1, k] = _by_row(slot((1, k)), 3 - t[1, j][0])
-    v[1, k] = _other(slot((1, k)), t[1, k])
-    v[i, k] = _by_col(slot((i, k)), 3 - v[1, k][1])
-    s[i, k] = _other(slot((i, k)), v[i, k])
-    s[i, j] = _by_row(slot((i, j)), 3 - s[i, k][0])
-    u[i, j] = _other(slot((i, j)), s[i, j])
-    u[1, j] = _by_col(slot((1, j)), 3 - u[i, j][1])
-    if u[1, j] != _other(slot((1, j)), t[1, j]):
+    t_seed_row = p_grid[1, k][0] if (e1[1] + e2[0] + e3[0]) % 2 else e1[0]
+    if not _walk(p_grid, ((1, j), (1, k), (i, k), (i, j)), (t, v, s, u), t_seed_row):
         raise RuntimeError(f"top chain failed to close for {pattern} {free}")
 
     # chain through the left block columns: V(j,1) -> V(j,i) -> T(j,i)
     # -> T(k,i) -> U(k,i) -> U(k,1) -> S(k,1) -> S(j,1), closing at (j, 1)
-    v[j, 1] = _by_row(slot((j, 1)), p_grid[j, i][0])
-    v[j, i] = _by_row(slot((j, i)), 3 - v[j, 1][0])
-    t[j, i] = _other(slot((j, i)), v[j, i])
-    t[k, i] = _by_col(slot((k, i)), 3 - t[j, i][1])
-    u[k, i] = _other(slot((k, i)), t[k, i])
-    u[k, 1] = _by_row(slot((k, 1)), 3 - u[k, i][0])
-    s[k, 1] = _other(slot((k, 1)), u[k, 1])
-    s[j, 1] = _by_col(slot((j, 1)), 3 - s[k, 1][1])
-    if s[j, 1] != _other(slot((j, 1)), v[j, 1]):
+    if not _walk(p_grid, ((j, 1), (j, i), (k, i), (k, 1)), (v, t, u, s), p_grid[j, i][0]):
         raise RuntimeError(f"left chain failed to close for {pattern} {free}")
 
-    # corners: at each pattern position two E-blocks meet one invertible block
-    s[j, k] = (3 - s[j, 1][0], 3 - s[i, k][1])
-    t[j, k] = (3 - t[j, i][0], 3 - t[1, k][1])
-    s[k, j] = (3 - s[k, 1][0], 3 - s[i, j][1])
-    t[k, j] = (3 - t[k, i][0], 3 - t[1, j][1])
-    v[1, i] = (3 - v[1, k][0], 3 - v[j, i][1])
-    u[1, i] = (3 - u[1, j][0], 3 - u[k, i][1])
-    v[i, 1] = (3 - v[i, k][0], 3 - v[j, 1][1])
-    u[i, 1] = (3 - u[i, j][0], 3 - u[k, 1][1])
-    for a, b in ((t[j, k], s[j, k]), (t[k, j], s[k, j]), (v[1, i], u[1, i]), (v[i, 1], u[i, 1])):
-        if a != e_complement(b):
+    # corners: at each zero position of P two members take complementary
+    # forced E-blocks and the third takes the invertible block they leave
+    for pos, a, b, c in (((j, k), t, s, u), ((k, j), t, s, v), ((1, i), v, u, s), ((i, 1), v, u, t)):
+        a[pos] = _forced(a, pos)
+        b[pos] = _forced(b, pos)
+        if a[pos] != e_complement(b[pos]):
             raise RuntimeError(f"corner cells not complementary for {pattern} {free}")
-    u[j, k] = _co_invertible(s[j, k])
-    v[k, j] = _co_invertible(s[k, j])
-    s[1, i] = _co_invertible(v[1, i])
-    t[i, 1] = _co_invertible(v[i, 1])
+        c[pos] = _co_invertible(b[pos])
 
     part = tuple(_grid_perm(g) for g in (p_grid, q_grid, s, t, u, v))
     for m in part[:2]:
@@ -355,26 +346,12 @@ def _type2_grids(
     if one != 1 or {i, j, k} != {2, 3, 4}:
         raise ValueError(f"cycle must visit 1, i, j, k once starting at 1: {cycle}")
     ch1j, chj1, chki, chik = chords
-    a1: Grid = {
-        (1, j): ch1j,
-        (j, 1): chj1,
-        (k, i): chki,
-        (i, k): chik,
-        (1, k): (3 - ch1j[0], 3 - chik[1]),
-        (k, j): (3 - chki[0], 3 - ch1j[1]),
-        (j, i): (3 - chj1[0], 3 - chki[1]),
-        (i, 1): (3 - chik[0], 3 - chj1[1]),
-    }
-    a1p: Grid = {
-        (1, j): ch1j,
-        (j, 1): chj1,
-        (k, i): chki,
-        (i, k): chik,
-        (1, i): (3 - ch1j[0], 3 - chki[1]),
-        (i, j): (3 - chik[0], 3 - ch1j[1]),
-        (j, k): (3 - chj1[0], 3 - chik[1]),
-        (k, 1): (3 - chki[0], 3 - chj1[1]),
-    }
+    a1: Grid = {(1, j): ch1j, (j, 1): chj1, (k, i): chki, (i, k): chik}
+    a1p: Grid = dict(a1)
+    for pos in ((1, k), (k, j), (j, i), (i, 1)):
+        a1[pos] = _forced(a1, pos)
+    for pos in ((1, i), (i, j), (j, k), (k, 1)):
+        a1p[pos] = _forced(a1p, pos)
     a2 = {pos: e_complement(b) for pos, b in a1.items()}
     a2p = {pos: e_complement(b) for pos, b in a1p.items()}
     a3 = {pos: e_row_flip(b) for pos, b in a2.items()}

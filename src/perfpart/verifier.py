@@ -10,6 +10,7 @@ structurally certificates at all.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from collections.abc import Sequence
@@ -311,9 +312,12 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
     try:
         n = obj["n"]
         graph = graph_from_json(obj["graph"], n)
-        complete = bool(obj["complete"])
+        complete = obj["complete"]
+        if not isinstance(complete, bool):
+            raise ValueError(f"complete must be true or false, not {complete!r}")
+        # operator.index refuses floats and strings, which int would coerce
         parts = tuple(
-            tuple(tuple(map(int, p)) for p in part) for part in obj["parts"]
+            tuple(tuple(map(operator.index, p)) for p in part) for part in obj["parts"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a certificate: {exc}") from exc

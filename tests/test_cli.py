@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -70,6 +71,16 @@ def test_count_usage_errors(circulant_file):
     usage_error("count", "--matrix", circulant_file, "--r", "1")
     usage_error("count", "--r", "1")  # missing m
     usage_error("count", "--matrix", "/no/such/file")
+
+
+def test_count_bounds_the_permanent(tmp_path):
+    """Ryser's 2^n permanent is refused above n = 20, before any work."""
+    ones = tmp_path / "ones21.txt"
+    ones.write_text(("1" * 21 + "\n") * 21)
+    for argv in (("--matrix", str(ones)), ("--r", "1", "--m", "21", "--oracle")):
+        start = time.perf_counter()
+        usage_error("count", *argv)
+        assert time.perf_counter() - start < 1
 
 
 def test_enumerate_plain_and_classified(run):
@@ -177,6 +188,24 @@ def test_certificates_are_byte_stable(run, tmp_path, monkeypatch):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+# sha256 of each certificate `construct --target T` writes; the benchmark pins
+# the same values, and a rewrite of a builder must leave them unchanged
+CERT_SHA256 = {
+    "l61": "f9abfd93059e1576bbfc25312799bc3d909b331006c35ed13d82a0969a298488",
+    "l82": "62c0a69453e3b6782de2644ca4938c77d8939846cdc6dfe60f13c95f4b42af5f",
+    "knn:8": "adfc26e04b9f98142da8b5c304fa00b4440301172fde2adcbca9d2aac26010fc",
+    "l2nn:5": "2b06a7bbd6bf5cdba299999f71c80c7ada71db654883e7008a60dd70b03e6c90",
+}
+
+
+@pytest.mark.parametrize("target", CERT_SHA256)
+def test_certificate_bytes_are_pinned(run, tmp_path, target):
+    path = tmp_path / "cert.json"
+    code, _ = run("construct", "--target", target, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CERT_SHA256[target]
+
+
 def test_verify_detects_tampering(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run("construct", "--target", "l61")
@@ -233,6 +262,18 @@ def test_verify_unreadable_file(run, tmp_path):
     bad.write_text('{"n": 3}')
     code, out = run("verify", str(bad))
     assert code == 1 and "unreadable certificate" in out
+
+
+def test_verify_rejects_a_float_image(run, tmp_path):
+    """int() would read 2.5 as 2 and pass the certificate."""
+    path = tmp_path / "l61.json"
+    run("construct", "--target", "l61", "--out", str(path))
+    payload = json.loads(path.read_text())
+    assert payload["parts"][0][0] == [2, 1, 4, 3, 6, 5]
+    payload["parts"][0][0] = [2.5, 1, 4, 3, 6, 5]
+    path.write_text(json.dumps(payload))
+    code, out = run("verify", str(path))
+    assert code == 1 and out.startswith("FAIL: unreadable certificate")
 
 
 def test_search_target_found(run, tmp_path):

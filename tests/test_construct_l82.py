@@ -24,7 +24,7 @@ from perfpart.construct_l82 import (
     type2_families,
     type2_literal_diagnostic,
 )
-from perfpart.graph_model import block_view, l_graph, zero_blocks
+from perfpart.graph_model import block_view, invertible_blocks, l_graph, zero_blocks
 from perfpart.matchings import enumerate_matchings, has_transposition_zero_pattern, label_l82
 from perfpart.verifier import check_factorization, check_partition
 
@@ -57,19 +57,25 @@ def test_zero_pattern_validation():
 
 
 def test_type1_part_structure():
-    part = type1_part(ZERO_PATTERNS[0], (E11, E21, E12, E22))
-    assert len(part) == 6
-    assert check_factorization(l_graph(2, 4), part) == []
-    for m in part[:2]:
-        assert label_l82(m) == "S0" and has_transposition_zero_pattern(m)
-    for m in part[2:]:
-        assert label_l82(m) == "S1"
-    # P and Q share the zero pattern and complement each other blockwise
-    assert zero_blocks(part[0]) == zero_blocks(part[1])
-    i, j, k = ZERO_PATTERNS[0].i, ZERO_PATTERNS[0].j, ZERO_PATTERNS[0].k
-    assert set(zero_blocks(part[0])) == {(1, i), (i, 1), (j, k), (k, j)}
-    for pos in ((1, j), (i, k), (j, 1), (k, i)):
-        assert grid_block(part[1], pos) == e_complement(grid_block(part[0], pos))
+    """Every (pattern, free) input, including the E21/E22 seeds at (1, j) that
+    build_type1 skips, gives a valid part of the documented shape."""
+    graph = l_graph(2, 4)
+    for pattern, free in product(ZERO_PATTERNS, product(E_BLOCKS, repeat=4)):
+        part = type1_part(pattern, free)
+        assert len(part) == 6
+        assert check_factorization(graph, part) == []
+        for m in part[:2]:
+            assert label_l82(m) == "S0" and has_transposition_zero_pattern(m)
+        for m in part[2:]:
+            assert label_l82(m) == "S1"
+        # P and Q share the zero pattern and complement each other blockwise
+        i, j, k = pattern.i, pattern.j, pattern.k
+        assert zero_blocks(part[0]) == zero_blocks(part[1])
+        assert set(zero_blocks(part[0])) == {(1, i), (i, 1), (j, k), (k, j)}
+        for pos in ((1, j), (i, k), (j, 1), (k, i)):
+            assert grid_block(part[1], pos) == e_complement(grid_block(part[0], pos))
+        # S, T, U, V carry their invertible block at (1, i), (i, 1), (j, k), (k, j)
+        assert [invertible_blocks(m) for m in part[2:]] == [[(1, i)], [(i, 1)], [(j, k)], [(k, j)]]
 
 
 def test_type1_rebuild_from_stored_blocks(type1_parts):

@@ -295,6 +295,12 @@ def test_json_rejects_corruption(l61_cert):
         certificate_from_json({**obj, "n": 7})
     with pytest.raises(ValueError, match="kind"):
         certificate_from_json({**obj, "graph": {"kind": "mystery"}})
+    first = obj["parts"][0]
+    for bad in ([[2.5, *first[0][1:]], *first[1:]], [[str(x) for x in p] for p in first]):
+        with pytest.raises(ValueError, match="not a certificate"):
+            certificate_from_json({**obj, "parts": [bad, *obj["parts"][1:]]})
+    with pytest.raises(ValueError, match="complete must be true or false"):
+        certificate_from_json({**obj, "complete": "false"})
 
 
 def test_save_load_is_byte_stable(tmp_path, l61_cert):
