@@ -17,16 +17,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .graph_model import l_graph
-from .perm_core import Perm, compose
+from .perm_core import Perm
 from .verifier import PartitionCertificate, make_certificate
-
-
-def _cycle_powers(n: int) -> list[Perm]:
-    c = tuple(list(range(2, n + 1)) + [1])  # (1 2 ... n)
-    powers = [tuple(range(1, n + 1))]
-    for _ in range(n - 1):
-        powers.append(compose(c, powers[-1]))
-    return powers
 
 
 def _coset_reps(n: int) -> list[Perm]:
@@ -39,35 +31,34 @@ def _coset_reps(n: int) -> list[Perm]:
     return [(1, *q) for q in permutations(range(2, n + 1))]
 
 
+def _rotations(g: Perm) -> list[Perm]:
+    """The coset g<c> in the order compose(g, c^t), t = 0..n-1: g rotated left by t."""
+    return [g[t:] + g[:t] for t in range(len(g))]
+
+
 def knn_partition(n: int) -> PartitionCertificate:
     """Perfect partition of K_{n,n} into the (n-1)! left cosets of <(1 2 ... n)>."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    powers = _cycle_powers(n)
-    parts = [[compose(g, h) for h in powers] for g in _coset_reps(n)]
+    parts = [_rotations(g) for g in _coset_reps(n)]
     return make_certificate(l_graph(0, n=n), parts, complete=True)
 
 
-def _pair_to_perm(alpha: Perm, beta: Perm, n: int) -> Perm:
-    return tuple(n + alpha[i] for i in range(n)) + tuple(beta[i] for i in range(n))
-
-
 def l2nn_partition(n: int) -> PartitionCertificate:
-    """Perfect partition of L(n, 2) (two n x n holes) from paired cosets."""
+    """Perfect partition of L(n, 2) (two n x n holes) from paired cosets.
+
+    Member t of part (g, h, d) is alpha = g c^t shifted into the bottom
+    block, n + alpha, followed by beta = h c^(t+d).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    powers = _cycle_powers(n)
     reps = _coset_reps(n)
+    # each coset twice over, so betas[d : d + n] is h c^(t+d) for t = 0..n-1
+    bottoms = [_rotations(h) * 2 for h in reps]
     parts = []
     for g in reps:
-        g_orbit = [compose(g, powers[t]) for t in range(n)]
-        for h in reps:
-            h_orbit = [compose(h, powers[t]) for t in range(n)]
+        tops = [tuple(n + x for x in alpha) for alpha in _rotations(g)]
+        for betas in bottoms:
             for d in range(n):
-                parts.append(
-                    [
-                        _pair_to_perm(g_orbit[t], h_orbit[(t + d) % n], n)
-                        for t in range(n)
-                    ]
-                )
+                parts.append(list(map(tuple.__add__, tops, betas[d : d + n])))
     return make_certificate(l_graph(n, 2), parts, complete=True)

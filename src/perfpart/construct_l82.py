@@ -29,12 +29,7 @@ from functools import lru_cache
 from itertools import product
 
 from .graph_model import GraphSpec, from_matrix, invertible_blocks, l_graph
-from .matchings import (
-    classify_l82,
-    enumerate_matchings,
-    has_transposition_zero_pattern,
-    label_l82,
-)
+from .matchings import classify_l82, enumerate_matchings
 from .perm_core import Perm, is_permutation
 from .tables import l41_table
 from .verifier import PartitionCertificate, check_factorization, make_certificate
@@ -94,6 +89,17 @@ def _graph() -> GraphSpec:
 @lru_cache(maxsize=None)
 def _classes() -> dict[str, tuple[Perm, ...]]:
     return {k: tuple(v) for k, v in classify_l82(enumerate_matchings(_graph())).items()}
+
+
+@lru_cache(maxsize=None)
+def _labels() -> dict[Perm, str]:
+    """The ledger class of every matching: S0_1, S0_rest (S0 minus S0_1),
+    S1, S2 or S4.  A permutation missing here is no matching of L(2, 4)."""
+    classes = _classes()
+    table = dict.fromkeys(classes["S0"], "S0_rest")
+    for lab in ("S0_1", "S1", "S2", "S4"):
+        table.update(dict.fromkeys(classes[lab], lab))
+    return table
 
 
 def _by_row(pair: tuple[EBlock, EBlock], a: int) -> EBlock:
@@ -216,10 +222,11 @@ def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]
         c[pos] = _co_invertible(b[pos])
 
     part = tuple(_grid_perm(g) for g in (p_grid, q_grid, s, t, u, v))
+    labels = _labels()
     for m in part[:2]:
-        assert label_l82(m) == "S0" and has_transposition_zero_pattern(m)
+        assert labels.get(m) == "S0_1"
     for m in part[2:]:
-        assert label_l82(m) == "S1"
+        assert labels.get(m) == "S1"
     if check_factorization(_graph(), part):
         raise RuntimeError(f"type I part fails verification for {pattern} {free}")
     return part
@@ -276,7 +283,7 @@ CYCLE_REPS: tuple[tuple[int, int, int, int], ...] = ((1, 2, 3, 4), (1, 2, 4, 3),
 
 def _type2_member(grid: Grid, context: str) -> Perm:
     m = _grid_perm(grid)
-    if label_l82(m) != "S0" or has_transposition_zero_pattern(m):
+    if _labels().get(m) != "S0_rest":
         raise RuntimeError(f"family member not in S0 minus S0_1: {context}")
     return m
 
@@ -307,10 +314,11 @@ def _complete_family(
     if len(rep_zero) != 2:
         raise RuntimeError(f"family must hold two cycle-zero members: {context}")
 
+    labels = _labels()
     s2_pairs = [
         pr
         for pr in _residual_pairs(members)
-        if label_l82(pr[0]) == label_l82(pr[1]) == "S2"
+        if labels.get(pr[0]) == labels.get(pr[1]) == "S2"
     ]
     if len(s2_pairs) != 4:
         raise RuntimeError(
@@ -431,8 +439,9 @@ def build_type2() -> list[tuple[Perm, ...]]:
     )
     assert len(parts) == 384
 
-    s0_used = [m for p in parts for m in p if label_l82(m) == "S0"]
-    s2_used = [m for p in parts for m in p if label_l82(m) == "S2"]
+    labels = _labels()
+    s0_used = [m for p in parts for m in p if labels.get(m) in ("S0_1", "S0_rest")]
+    s2_used = [m for p in parts for m in p if labels.get(m) == "S2"]
     assert len(s0_used) == len(set(s0_used)) == 1536
     assert len(s2_used) == len(set(s2_used)) == 768
     assert set(s0_used) == set(_classes()["S0"]) - set(_classes()["S0_1"])
@@ -483,7 +492,11 @@ def build_type3() -> list[tuple[Perm, ...]]:
 
 
 def classify_parts(parts) -> dict[str, int]:
-    """Census of a part list: per-type part counts and per-class member usage."""
+    """Census of a part list: per-type part counts and per-class member usage.
+
+    Every member must be a matching of L(2, 4), as every part build_l82
+    emits is.
+    """
     out = {
         "type1_parts": 0,
         "type2_parts": 0,
@@ -494,19 +507,14 @@ def classify_parts(parts) -> dict[str, int]:
         "S2": 0,
         "S4": 0,
     }
+    labels = _labels()
     for part in parts:
-        labels = []
-        for m in part:
-            lab = label_l82(tuple(m))
-            if lab == "S0" and has_transposition_zero_pattern(tuple(m)):
-                lab = "S0_1"
-            elif lab == "S0":
-                lab = "S0_rest"
+        part_labels = [labels[tuple(m)] for m in part]
+        for lab in part_labels:
             out[lab] += 1
-            labels.append(lab)
-        if "S0_1" in labels:
+        if "S0_1" in part_labels:
             out["type1_parts"] += 1
-        elif "S2" in labels:
+        elif "S2" in part_labels:
             out["type2_parts"] += 1
         else:
             out["type3_parts"] += 1

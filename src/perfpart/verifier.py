@@ -10,11 +10,11 @@ structurally certificates at all.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from itertools import islice
+from functools import lru_cache
+from itertools import chain, islice
 
 from .counting import count_matchings
 from .graph_model import GraphSpec, degree, from_matrix, is_matching, l_graph, row_strings
@@ -62,23 +62,42 @@ def make_certificate(
     cert = PartitionCertificate(
         graph=graph,
         complete=complete,
-        parts=tuple(tuple(tuple(p) for p in part) for part in parts),
+        parts=tuple(tuple(map(tuple, part)) for part in parts),
     )
     return cert.canonical()
 
 
-def _is_factorization(spec: GraphSpec, perms: Sequence[Perm], d: int) -> bool:
-    """Fast accept: d permutations whose image bits OR to each adjacency row
-    with d bits set, so no edge is missing, absent from the graph, or doubled."""
-    n = spec.n
+@lru_cache(maxsize=16)
+def _row_sets(spec: GraphSpec) -> tuple[frozenset[int], ...]:
+    """The 1-based columns of every adjacency row; cached because the
+    builders check their parts one check_factorization call at a time."""
+    return tuple(
+        frozenset(j + 1 for j in range(spec.n) if row >> j & 1) for row in spec.rows
+    )
+
+
+def _is_factorization(
+    perms: Sequence[Perm], d: int, rows: tuple[frozenset[int], ...]
+) -> bool:
+    """Fast accept: d members of n distinct images each, whose images in row
+    i are exactly rows[i], the columns of adjacency row i.
+
+    Every row of the regular graph has d columns, so the d images of a row
+    are distinct edges covering it: no edge is missing, absent from the
+    graph, or doubled, and each member, with n distinct images among the
+    columns 1..n, is a permutation.  Lengths are checked before the zip,
+    which would truncate a long member.
+    """
+    n = len(rows)
     if len(perms) != d:
         return False
-    acc = [0] * n
-    for p in perms:
-        if not is_permutation(p, n):
-            return False
-        acc = [a | 1 << (x - 1) for a, x in zip(acc, p)]
-    return tuple(acc) == spec.rows and all(a.bit_count() == d for a in acc)
+    if not d:
+        return True  # the empty part factorizes the edgeless graph
+    return (
+        set(map(len, perms)) == {n}
+        and set(map(len, map(set, perms))) == {n}
+        and tuple(map(frozenset, zip(*perms))) == rows
+    )
 
 
 def check_factorization(spec: GraphSpec, perms: Sequence[Perm]) -> list[Violation]:
@@ -86,12 +105,12 @@ def check_factorization(spec: GraphSpec, perms: Sequence[Perm]) -> list[Violatio
 
     Checks size == degree, membership of every matching, and exact single
     coverage of every edge (equivalently, permutation matrices sum to the
-    adjacency matrix).  Valid parts are accepted by the row-bitset test of
+    adjacency matrix).  Valid parts are accepted by the row-set test of
     _is_factorization; the cover matrix of _factorization_violations is
     built only for a part that fails it.
     """
     d = degree(spec)
-    if _is_factorization(spec, perms, d):
+    if _is_factorization(perms, d, _row_sets(spec)):
         return []
     return _factorization_violations(spec, perms, d)
 
@@ -183,7 +202,7 @@ def _has_exactly(spec: GraphSpec, count: int) -> bool:
 MISSING_NAMED = 100
 
 
-def _completeness_violations(spec: GraphSpec, have: dict[Perm, int]) -> list[Violation]:
+def _completeness_violations(spec: GraphSpec, have: set[Perm]) -> list[Violation]:
     """The missing and extra matchings of a failed claim of completeness.
 
     Extra members are those that are not matchings of the graph.  Missing
@@ -221,23 +240,28 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
     violations: list[Violation] = []
     # once per certificate: degree() of a matrix sums every column
     d = degree(spec) if cert.parts else 0
+    rows = _row_sets(spec)
     for k, part in enumerate(cert.parts):
-        if not _is_factorization(spec, part, d):
+        if not _is_factorization(part, d, rows):
             violations.extend(
                 Violation(v.kind, v.detail, part=k, member=v.member)
                 for v in _factorization_violations(spec, part, d)
             )
 
-    seen: dict[Perm, int] = {}
-    for k, part in enumerate(cert.parts):
-        for p in part:
-            if p in seen and seen[p] != k:
-                violations.append(
-                    Violation(
-                        "overlap", f"matching {list(p)} also in part {seen[p]}", part=k
+    members = list(chain.from_iterable(cert.parts))
+    seen = set(members)
+    if len(seen) < len(members):
+        # some member repeats; word each repeat that crosses parts
+        first: dict[Perm, int] = {}
+        for k, part in enumerate(cert.parts):
+            for p in part:
+                if p in first and first[p] != k:
+                    violations.append(
+                        Violation(
+                            "overlap", f"matching {list(p)} also in part {first[p]}", part=k
+                        )
                     )
-                )
-            seen.setdefault(p, k)
+                first.setdefault(p, k)
 
     if cert.complete and (violations or not _has_exactly(spec, len(seen))):
         violations.extend(_completeness_violations(spec, seen))
@@ -246,7 +270,7 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
         ok=not violations,
         violations=violations,
         n_parts=len(cert.parts),
-        n_matchings=sum(len(part) for part in cert.parts),
+        n_matchings=len(members),
     )
 
 
@@ -304,8 +328,12 @@ def certificate_to_json(cert: PartitionCertificate) -> dict:
         "n": cert.n,
         "degree": degree(cert.graph),
         "complete": cert.complete,
-        "parts": [[list(p) for p in part] for part in cert.parts],
+        "parts": cert.parts,  # json writes the tuples as lists
     }
+
+
+def _images(parts):
+    return chain.from_iterable(chain.from_iterable(parts))
 
 
 def certificate_from_json(obj: dict) -> PartitionCertificate:
@@ -315,10 +343,11 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
         complete = obj["complete"]
         if not isinstance(complete, bool):
             raise ValueError(f"complete must be true or false, not {complete!r}")
-        # operator.index refuses floats and strings, which int would coerce
-        parts = tuple(
-            tuple(tuple(map(operator.index, p)) for p in part) for part in obj["parts"]
-        )
+        parts = tuple(tuple(map(tuple, part)) for part in obj["parts"])
+        # exact types: int() would coerce floats and strings, and bool is an int
+        if not set(map(type, _images(parts))) <= {int}:
+            bad = next(x for x in _images(parts) if type(x) is not int)
+            raise TypeError(f"{type(bad).__name__!r} object cannot be interpreted as an integer")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a certificate: {exc}") from exc
     if graph.n != n:

@@ -276,6 +276,22 @@ def test_verify_rejects_a_float_image(run, tmp_path):
     assert code == 1 and out.startswith("FAIL: unreadable certificate")
 
 
+def test_verify_rejects_a_boolean_image(run, tmp_path):
+    """JSON true is a Python bool, an int subclass equal to 1, and would pass."""
+    path = tmp_path / "l61.json"
+    run("construct", "--target", "l61", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["parts"][0][0] = [2, True, 4, 3, 6, 5]
+    path.write_text(json.dumps(payload))
+    assert '[[[2, true, 4, 3, 6, 5], ' in path.read_text()
+    code, out = run("verify", str(path))
+    assert code == 1
+    assert out == (
+        "FAIL: unreadable certificate: not a certificate: "
+        "'bool' object cannot be interpreted as an integer\n"
+    )
+
+
 def test_search_target_found(run, tmp_path):
     out_path = str(tmp_path / "l41.json")
     code, out = run("search", "--target", "l41", "--out", out_path)

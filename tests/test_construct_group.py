@@ -5,10 +5,19 @@ from itertools import permutations
 
 import pytest
 
-from perfpart.construct_group import _coset_reps, _cycle_powers, knn_partition, l2nn_partition
+from perfpart.construct_group import _coset_reps, knn_partition, l2nn_partition
 from perfpart.graph_model import is_matching, l_graph
 from perfpart.perm_core import compose, inverse
-from perfpart.verifier import check_partition
+from perfpart.verifier import check_partition, make_certificate
+
+
+def cycle_powers(n: int) -> list[tuple[int, ...]]:
+    """c^0, c^1, ..., c^(n-1) for the n-cycle c = (1 2 ... n), by composition."""
+    c = tuple(list(range(2, n + 1)) + [1])
+    powers = [tuple(range(1, n + 1))]
+    for _ in range(n - 1):
+        powers.append(compose(c, powers[-1]))
+    return powers
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -23,13 +32,30 @@ def test_knn_partition_shape_and_validity(n: int):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_coset_reps_are_the_least_member_of_each_coset(n: int):
-    powers = _cycle_powers(n)
+    powers = cycle_powers(n)
     least = [
         g
         for g in permutations(range(1, n + 1))
         if g == min(compose(g, h) for h in powers)
     ]
     assert _coset_reps(n) == least
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coset_builders_equal_a_composition_build(n: int):
+    """Rotated image tuples give the same certificates as composing each
+    representative with every power of the cycle."""
+    powers = cycle_powers(n)
+    cosets = [[compose(g, h) for h in powers] for g in _coset_reps(n)]
+    assert knn_partition(n) == make_certificate(l_graph(0, n=n), cosets, complete=True)
+
+    l2nn = [
+        [tuple(n + x for x in alpha[t]) + beta[(t + d) % n] for t in range(n)]
+        for alpha in cosets
+        for beta in cosets
+        for d in range(n)
+    ]
+    assert l2nn_partition(n) == make_certificate(l_graph(n, 2), l2nn, complete=True)
 
 
 def test_knn_parts_are_cosets_of_the_cycle_group():

@@ -15,7 +15,9 @@ from perfpart.construct_l82 import (
     FLIP_SETS,
     ZERO_PATTERNS,
     ZeroPattern,
+    _labels,
     _residual_pairs,
+    _type2_member,
     classify_parts,
     e_col_flip,
     e_complement,
@@ -36,6 +38,45 @@ def grid_block(p, pos):
     ones = [(a + 1, b + 1) for a in range(2) for b in range(2) if cell[a][b]]
     assert len(ones) == 1, f"block at {pos} is not an E-block"
     return ones[0]
+
+
+def perm_grid(p):
+    """The sparse block grid of a permutation: an E-block (cell) or an
+    invertible block (pair of cells) at each block its images reach."""
+    grid = {}
+    for row, x in enumerate(p, start=1):
+        pos, cell = ((row + 1) // 2, (x + 1) // 2), ((row - 1) % 2 + 1, (x - 1) % 2 + 1)
+        grid[pos] = (grid[pos], cell) if pos in grid else cell
+    return grid
+
+
+def block_label(m):
+    lab = label_l82(m)
+    if lab == "S0":
+        return "S0_1" if has_transposition_zero_pattern(m) else "S0_rest"
+    return lab
+
+
+def test_label_table_matches_the_block_labels():
+    matchings = list(enumerate_matchings(l_graph(2, 4)))
+    table = _labels()
+    assert len(table) == len(matchings) == 4752
+    assert all(table[m] == block_label(m) for m in matchings)
+    assert Counter(table.values()) == {
+        "S0_1": 768, "S0_rest": 1536, "S1": 1536, "S2": 768, "S4": 144
+    }
+
+
+def test_type2_member_outside_s0_rest_raises():
+    by_label = {}
+    for m in enumerate_matchings(l_graph(2, 4)):
+        by_label.setdefault(block_label(m), m)
+    s0_rest = by_label.pop("S0_rest")
+    assert _type2_member(perm_grid(s0_rest), "ok") == s0_rest
+    # the identity is a permutation but no matching: its diagonal blocks are I2
+    for m in [*by_label.values(), tuple(range(1, 9))]:
+        with pytest.raises(RuntimeError, match="not in S0 minus S0_1"):
+            _type2_member(perm_grid(m), "test")
 
 
 def test_e_block_helpers():

@@ -15,10 +15,12 @@ from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
 from perfpart.search import find_factorizations
-from perfpart.tables import t1_table
+from perfpart.tables import l41_table, t1_table
+from perfpart.verifier import PartitionCertificate
 from perfpart.verifier import (
     _factorization_violations,
     _is_factorization,
+    _row_sets,
     certificate_from_json,
     certificate_to_json,
     check_extendability,
@@ -67,6 +69,50 @@ def test_member_violations():
     assert "not_matching" in kinds(check_factorization(g, [(1, 2, 3), (3, 1, 2)]))
 
 
+@pytest.mark.parametrize(
+    "perms, words",
+    [
+        # every row holds both columns, but neither member is a permutation
+        ([(1, 1), (2, 2)], ["images [1, 1]", "images [2, 2]"]),
+        # too long beside a member of length n: zip stops at the shorter
+        # one, so the rows it sees are (1, 2) and (2, 1) and match
+        ([(1, 2), (2, 1, 2)], ["images [2, 1, 2]"]),
+        ([(1, 2, 1), (2, 1)], ["images [1, 2, 1]"]),
+        ([(1, 2, 1), (2, 1, 2)], ["images [1, 2, 1]", "images [2, 1, 2]"]),
+        ([(1, 2, 3), (2, 1, 3)], ["images [1, 2, 3]", "images [2, 1, 3]"]),
+        # too short: zip would see only row 1
+        ([(1, 2), (2,)], ["images [2]"]),
+    ],
+)
+def test_fast_accept_rejects_rows_that_match_without_permutations(perms, words):
+    k22 = l_graph(0, n=2)
+    assert not _is_factorization(perms, 2, _row_sets(k22))
+    violations = check_factorization(k22, perms)
+    assert kinds(violations) == {"not_permutation"}
+    assert [v.detail for v in violations] == words
+
+
+@pytest.mark.parametrize("graph", [l_graph(2, 1), from_matrix(["00", "00"])])
+def test_degree_zero_graph(graph):
+    """The edgeless graph has no matching; its one factorization is empty."""
+    assert degree(graph) == 0
+    assert _is_factorization([], 0, _row_sets(graph))
+    assert check_factorization(graph, []) == []
+    assert [str(v) for v in check_factorization(graph, [(2, 1)])] == [
+        "size: expected 0 matchings (the degree), got 1",
+        "not_matching: edge (1,2) absent",
+        "not_matching: edge (2,1) absent",
+    ]
+    assert check_partition(make_certificate(graph, [[], []], complete=True)).ok
+    report = check_partition(make_certificate(graph, [[(1, 2)]], complete=True))
+    assert [str(v) for v in report.violations] == [
+        "size [part 0]: expected 0 matchings (the degree), got 1",
+        "not_matching [part 0, member 0]: edge (1,1) absent",
+        "not_matching [part 0, member 0]: edge (2,2) absent",
+        "extra: [1, 2] is not a matching of the graph",
+    ]
+
+
 def test_doubled_edge_is_a_coverage_violation():
     part = list(t1_table()[0])
     assert parse_cycles("(1 2)(3 4)(5 6)", 6) not in part
@@ -107,7 +153,7 @@ def member_lists(draw):
     matchings, factorizations = small_graph_members(name)
     perms = list(draw(st.sampled_from(factorizations)))
     any_index = st.integers(0, 10**6)
-    edits = ["duplicate", "drop", "add", "replace", "permutation", "non_permutation"]
+    edits = ["duplicate", "drop", "add", "replace", "permutation", "non_permutation", "swap_row"]
     for edit in draw(st.lists(st.sampled_from(edits), max_size=3)):
         k = draw(any_index) % len(perms) if perms else None
         if edit == "duplicate" and perms:
@@ -124,6 +170,15 @@ def member_lists(draw):
             size = draw(st.integers(spec.n - 1, spec.n + 1))
             images = st.integers(0, spec.n + 1)
             perms[k] = tuple(draw(st.lists(images, min_size=size, max_size=size)))
+        elif edit == "swap_row" and len(perms) > 1:
+            # exchange one row's images between two members: every row keeps
+            # its set of images, but the two members stop being permutations
+            j = (k + 1 + draw(any_index) % (len(perms) - 1)) % len(perms)
+            a, b = list(perms[k]), list(perms[j])
+            if a and b:
+                i = draw(any_index) % min(len(a), len(b))
+                a[i], b[i] = b[i], a[i]
+                perms[k], perms[j] = tuple(a), tuple(b)
     return spec, perms
 
 
@@ -131,13 +186,16 @@ def member_lists(draw):
 def test_fast_accept_holds_exactly_when_no_violation_is_worded(case):
     spec, perms = case
     d = degree(spec)
-    accepted = _is_factorization(spec, perms, d)
+    accepted = _is_factorization(perms, d, _row_sets(spec))
     assert accepted == (not _factorization_violations(spec, perms, d))
     assert accepted == (check_factorization(spec, perms) == [])
     cells = set(range(1, spec.n + 1))
     if all(len(p) == spec.n and set(p) <= cells for p in perms):
+        # a swap_row edit keeps the matrix sum but breaks the permutations
         assert accepted == (
-            len(perms) == d == len(set(perms)) and matrix_sum_equals_adjacency(spec, perms)
+            len(perms) == d == len(set(perms))
+            and all(set(p) == cells for p in perms)
+            and matrix_sum_equals_adjacency(spec, perms)
         )
 
 
@@ -146,7 +204,7 @@ def test_fast_accept_takes_every_small_factorization():
         _, factorizations = small_graph_members(name)
         assert factorizations
         for fact in factorizations:
-            assert _is_factorization(spec, fact, degree(spec))
+            assert _is_factorization(fact, degree(spec), _row_sets(spec))
 
 
 def test_check_partition_accepts_the_reference_build(l61_cert):
@@ -266,6 +324,64 @@ def test_missing_cap_boundary(dropped, named, summary):
     )
 
 
+# L(1, 4)'s partition with a member repeated inside part 0, a member of
+# part 0 repeated in part 1, and both at once (part 2 a copy of part 0);
+# the lines are those the per-member disjointness loop wrote, in its order
+A, B, C = (tuple(part) for part in l41_table())
+REPEATS = {
+    "within": (
+        [(A[0], A[0], A[2]), B, C],
+        [
+            "duplicate [part 0, member 1]: same matching as member 0",
+            "missing: matching [3, 4, 2, 1] uncovered",
+        ],
+    ),
+    "across": (
+        [A, (A[1], B[1], B[2]), C],
+        [
+            "coverage [part 1]: edge (3,1) covered 0 times, expected 1",
+            "coverage [part 1]: edge (3,2) covered 2 times, expected 1",
+            "coverage [part 1]: edge (4,1) covered 2 times, expected 1",
+            "coverage [part 1]: edge (4,2) covered 0 times, expected 1",
+            "overlap [part 1]: matching [3, 4, 2, 1] also in part 0",
+            "missing: matching [3, 4, 1, 2] uncovered",
+        ],
+    ),
+    "both": (
+        [(A[0], A[0], A[2]), (A[0], B[1], B[2]), A],
+        [
+            "duplicate [part 0, member 1]: same matching as member 0",
+            "coverage [part 1]: edge (1,2) covered 2 times, expected 1",
+            "coverage [part 1]: edge (1,3) covered 0 times, expected 1",
+            "coverage [part 1]: edge (2,1) covered 2 times, expected 1",
+            "coverage [part 1]: edge (2,4) covered 0 times, expected 1",
+            "coverage [part 1]: edge (3,1) covered 0 times, expected 1",
+            "coverage [part 1]: edge (3,4) covered 2 times, expected 1",
+            "coverage [part 1]: edge (4,2) covered 0 times, expected 1",
+            "coverage [part 1]: edge (4,3) covered 2 times, expected 1",
+            "overlap [part 1]: matching [2, 1, 4, 3] also in part 0",
+            "overlap [part 2]: matching [2, 1, 4, 3] also in part 0",
+            "overlap [part 2]: matching [4, 3, 1, 2] also in part 0",
+            "missing: matching [2, 4, 1, 3] uncovered",
+            "missing: matching [3, 1, 4, 2] uncovered",
+            "missing: matching [3, 4, 1, 2] uncovered",
+            "missing: matching [4, 3, 2, 1] uncovered",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPEATS)
+@pytest.mark.parametrize("complete", [True, False])
+def test_repeated_members_are_worded_in_order(case, complete):
+    parts, lines = REPEATS[case]
+    cert = PartitionCertificate(l_graph(1, 4), complete, tuple(parts))
+    report = check_partition(cert)
+    want = [ln for ln in lines if complete or not ln.startswith("missing")]
+    assert [str(v) for v in report.violations] == want
+    assert report.summary() == f"FAIL: 3 parts, 9 matchings, {len(want)} violation(s)"
+
+
 def test_swapped_members_fail_two_parts(l61_cert):
     parts = [list(p) for p in l61_cert.parts]
     parts[0][0], parts[1][0] = parts[1][0], parts[0][0]
@@ -296,7 +412,12 @@ def test_json_rejects_corruption(l61_cert):
     with pytest.raises(ValueError, match="kind"):
         certificate_from_json({**obj, "graph": {"kind": "mystery"}})
     first = obj["parts"][0]
-    for bad in ([[2.5, *first[0][1:]], *first[1:]], [[str(x) for x in p] for p in first]):
+    assert first[0][1] == 1
+    for bad in (
+        [[2.5, *first[0][1:]], *first[1:]],
+        [[str(x) for x in p] for p in first],
+        [[first[0][0], True, *first[0][2:]], *first[1:]],  # bool is an int subclass
+    ):
         with pytest.raises(ValueError, match="not a certificate"):
             certificate_from_json({**obj, "parts": [bad, *obj["parts"][1:]]})
     with pytest.raises(ValueError, match="complete must be true or false"):
