@@ -12,16 +12,17 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain, islice
 
 from .construct_group import knn_partition, l2nn_partition
 from .construct_l61 import build_l61
 from .construct_l82 import build_l82, classify_parts
-from .counting import necessary_condition
+from .counting import count_matchings, necessary_condition
 from .graph_model import GraphSpec, degree, from_matrix, l_graph
 from .matchings import enumerate_matchings, label_l61, label_l82
 from .perm_core import parse_cycles, to_cycles
 from .search import SearchBudgetExceeded, find_perfect_partition
-from .tables import canonical_parts, diff_parts, l61_golden_parts
+from .tables import diff_parts, l61_golden_parts
 from .verifier import (
     check_extendability,
     check_partition,
@@ -41,12 +42,54 @@ GROUP_TARGETS = {"knn:": (knn_partition, 9), "l2nn:": (l2nn_partition, 6)}
 # n = 18, 6.46 s at n = 20 and 24.7 s at n = 22 (2-CPU VM, Python 3.11).
 PERMANENT_MAX_N = 20
 
+# Most matchings a graph may have for enumerate, search and check, which list
+# them all before the first budgeted node.  check then searches once per
+# matching over bitsets as wide as the count, so its time grows with the count
+# squared: 2.1-3.6 s on L(3, 3) (12,096 matchings), 6.2 s on L(1, 8) (14,833)
+# and 36 s on K_{8,8} (40,320); on K_{9,9} and K_{10,10} check and search
+# --budget 10 were still listing matchings after 20 s (2-CPU VM, Python 3.11).
+MATCHINGS_MAX = 20_000
+
 
 def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r", type=int, help="hole size r of L(r, m); 0 for K_{n,n}")
     sub.add_argument("--m", type=int, help="number of holes m of L(r, m)")
     sub.add_argument("--n", type=int, help="side size; required when r = 0")
     sub.add_argument("--matrix", metavar="FILE", help="0/1 adjacency rows, one per line")
+
+
+def _emit(args, payload, lines, sort_keys: bool = True) -> None:
+    """Print payload as one JSON line under --json, else each of the text lines."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=sort_keys))
+        return
+    for line in lines:
+        print(line)
+
+
+def _save(parser: argparse.ArgumentParser, cert, path: str) -> None:
+    try:
+        save_certificate(cert, path)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
+
+
+def _bound_matchings(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
+    """Refuse a graph with more than MATCHINGS_MAX matchings, before any work.
+
+    L graphs use the closed-form count; a matrix is enumerated only up to one
+    matching past the bound.
+    """
+    if spec.kind == "L":
+        count = count_matchings(spec.r, spec.m, n=spec.n)
+    else:
+        count = sum(1 for _ in islice(enumerate_matchings(spec), MATCHINGS_MAX + 1))
+    if count > MATCHINGS_MAX:
+        has = count if spec.kind == "L" else "more"
+        parser.error(
+            f"enumerate, search and check are bounded to {MATCHINGS_MAX} matchings; "
+            f"this graph has {has}"
+        )
 
 
 def _read_matrix(parser: argparse.ArgumentParser, path: str) -> GraphSpec:
@@ -56,7 +99,6 @@ def _read_matrix(parser: argparse.ArgumentParser, path: str) -> GraphSpec:
         return from_matrix(rows)
     except (OSError, ValueError) as exc:
         parser.error(f"bad matrix file {path}: {exc}")
-    raise AssertionError("unreachable")
 
 
 def _graph_from_flags(parser: argparse.ArgumentParser, args) -> GraphSpec:
@@ -70,7 +112,6 @@ def _graph_from_flags(parser: argparse.ArgumentParser, args) -> GraphSpec:
         return l_graph(args.r, args.m, args.n)
     except ValueError as exc:
         parser.error(str(exc))
-    raise AssertionError("unreachable")
 
 
 def _cmd_count(parser, args) -> int:
@@ -83,12 +124,11 @@ def _cmd_count(parser, args) -> int:
     report = necessary_condition(spec, oracle=oracle)
     payload = asdict(report)
     payload["count"] = report.count
-    if not args.json:
-        print(
-            f"n={report.n} matchings={report.count} degree={report.degree} "
-            f"divisible={'yes' if report.divisible else 'no'}"
-        )
-    print(json.dumps(payload, sort_keys=True))
+    human = (
+        f"n={report.n} matchings={report.count} degree={report.degree} "
+        f"divisible={'yes' if report.divisible else 'no'}"
+    )
+    _emit(args, payload, [human, json.dumps(payload, sort_keys=True)])
     return 0
 
 
@@ -98,26 +138,19 @@ def _classifier(spec: GraphSpec, parser):
     if spec.kind == "L" and (spec.r, spec.m) == (2, 4):
         return label_l82
     parser.error("--classify is defined for L(1, 6) and L(2, 4) only")
-    raise AssertionError("unreachable")
 
 
 def _cmd_enumerate(parser, args) -> int:
     spec = _graph_from_flags(parser, args)
     label = _classifier(spec, parser) if args.classify else None
+    _bound_matchings(parser, spec)
     records = []
     for p in enumerate_matchings(spec):
         rec = {"cycles": to_cycles(p)}
         if label is not None:
             rec["class"] = label(p)
         records.append(rec)
-    if args.json:
-        print(json.dumps(records))
-    else:
-        for rec in records:
-            line = rec["cycles"]
-            if "class" in rec:
-                line += f"\t{rec['class']}"
-            print(line)
+    _emit(args, records, ("\t".join(rec.values()) for rec in records), sort_keys=False)
     return 0
 
 
@@ -147,7 +180,6 @@ def _build_target(parser, args):
             except ValueError as exc:
                 parser.error(f"bad target {target}: {exc}")
     parser.error(f"unknown target {target!r}; use l61, l82, knn:N or l2nn:N")
-    raise AssertionError("unreachable")
 
 
 def _cmd_construct(parser, args) -> int:
@@ -160,7 +192,7 @@ def _cmd_construct(parser, args) -> int:
 
     cert = _build_target(parser, args)
     out = args.out or f"{args.target.replace(':', '')}.json"
-    save_certificate(cert, out)
+    _save(parser, cert, out)
 
     payload = {
         "target": args.target,
@@ -168,6 +200,7 @@ def _cmd_construct(parser, args) -> int:
         "parts": len(cert.parts),
         "part_size": len(cert.parts[0]) if cert.parts else 0,
     }
+    lines = [f"wrote {out}: {payload['parts']} parts of {payload['part_size']}"]
     code = 0
     if args.golden:
         missing, unexpected = diff_parts(cert.parts, l61_golden_parts())
@@ -179,24 +212,16 @@ def _cmd_construct(parser, args) -> int:
         ]
         payload["golden_ok"] = not missing and not unexpected
         code = 0 if payload["golden_ok"] else 1
+        if payload["golden_ok"]:
+            lines.append(f"golden: all {payload['parts']} parts match the reference tables")
+        lines += ["golden missing:   " + "; ".join(part) for part in payload["golden_missing"]]
+        lines += [
+            "golden unexpected: " + "; ".join(part) for part in payload["golden_unexpected"]
+        ]
     if args.audit:
         payload["audit"] = classify_parts(cert.parts)
-
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return code
-    print(f"wrote {out}: {payload['parts']} parts of {payload['part_size']}")
-    if args.golden:
-        if payload["golden_ok"]:
-            print(f"golden: all {payload['parts']} parts match the reference tables")
-        else:
-            for part in payload["golden_missing"]:
-                print("golden missing:   " + "; ".join(part))
-            for part in payload["golden_unexpected"]:
-                print("golden unexpected: " + "; ".join(part))
-    if args.audit:
-        for key, value in payload["audit"].items():
-            print(f"audit {key} = {value}")
+        lines += [f"audit {key} = {value}" for key, value in payload["audit"].items()]
+    _emit(args, payload, lines)
     return code
 
 
@@ -204,28 +229,17 @@ def _cmd_verify(parser, args) -> int:
     try:
         cert = load_certificate(args.file)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        if args.json:
-            print(json.dumps({"ok": False, "error": f"unreadable certificate: {exc}"}))
-        else:
-            print(f"FAIL: unreadable certificate: {exc}")
+        error = f"unreadable certificate: {exc}"
+        _emit(args, {"ok": False, "error": error}, [f"FAIL: {error}"], sort_keys=False)
         return 1
     report = check_partition(cert)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "n_parts": report.n_parts,
-                    "n_matchings": report.n_matchings,
-                    "violations": [str(v) for v in report.violations],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(report.summary())
-        for v in report.violations:
-            print(f"  {v}")
+    payload = {
+        "ok": report.ok,
+        "n_parts": report.n_parts,
+        "n_matchings": report.n_matchings,
+        "violations": [str(v) for v in report.violations],
+    }
+    _emit(args, payload, [report.summary(), *(f"  {v}" for v in payload["violations"])])
     return 0 if report.ok else 1
 
 
@@ -243,78 +257,52 @@ def _cmd_search(parser, args) -> int:
             parser.error("need --target or --matrix FILE")
         spec = _read_matrix(parser, args.matrix)
         asserted = False
+    _bound_matchings(parser, spec)
 
     try:
         if args.all:
             count = sum(1 for _ in find_perfect_partition(spec, find_all=True, budget=args.budget))
-            if args.json:
-                print(json.dumps({"partitions": count}))
-            else:
-                print(f"{count} perfect partition(s)")
+            payload = {"partitions": count}
+            _emit(args, payload, [f"{count} perfect partition(s)"], sort_keys=False)
             return 0 if (count or not asserted) else 1
         found = find_perfect_partition(spec, budget=args.budget)
     except SearchBudgetExceeded:
-        if args.json:
-            print(json.dumps({"found": None, "error": "budget exhausted"}))
-        else:
-            print("UNDECIDED: node budget exhausted")
+        payload = {"found": None, "error": "budget exhausted"}
+        _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
         return 1
 
     if found is None:
-        if args.json:
-            print(json.dumps({"found": False}))
-        else:
-            print("NONE: no perfect partition exists")
+        _emit(args, {"found": False}, ["NONE: no perfect partition exists"], sort_keys=False)
         return 1 if asserted else 0
 
     if args.out:
-        save_certificate(make_certificate(spec, list(found), complete=True), args.out)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "found": True,
-                    "parts": [[list(p) for p in part] for part in found],
-                    "out": args.out,
-                }
-            )
-        )
-    else:
-        print(f"FOUND: {len(found)} parts of {degree(spec)}")
-        for k, part in enumerate(found, start=1):
-            print(f"  part {k}: " + "; ".join(to_cycles(p) for p in part))
-        if args.out:
-            print(f"wrote {args.out}")
+        _save(parser, make_certificate(spec, list(found), complete=True), args.out)
+    parts = [[list(p) for p in part] for part in found]
+    lines = chain(
+        [f"FOUND: {len(found)} parts of {degree(spec)}"],
+        (f"  part {k}: " + "; ".join(map(to_cycles, part)) for k, part in enumerate(found, 1)),
+        [f"wrote {args.out}"] if args.out else [],
+    )
+    _emit(args, {"found": True, "parts": parts, "out": args.out}, lines, sort_keys=False)
     return 0
 
 
 def _cmd_check(parser, args) -> int:
     spec = _graph_from_flags(parser, args)
+    _bound_matchings(parser, spec)
     try:
         report = check_extendability(spec, budget=args.budget)
     except SearchBudgetExceeded:
-        if args.json:
-            print(json.dumps({"blocked": None, "error": "budget exhausted"}))
-        else:
-            print("UNDECIDED: node budget exhausted")
+        payload = {"blocked": None, "error": "budget exhausted"}
+        _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
         return 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "total": report.total,
-                    "blocked": [to_cycles(p) for p in report.blocked],
-                },
-                sort_keys=True,
-            )
-        )
+    blocked = [to_cycles(p) for p in report.blocked]
+    if report.all_extendable:
+        lines = [f"OK: all {report.total} matchings extend to a 1-factorization"]
     else:
-        if report.all_extendable:
-            print(f"OK: all {report.total} matchings extend to a 1-factorization")
-        else:
-            print(f"FAIL: {len(report.blocked)} of {report.total} matchings blocked")
-            for p in report.blocked:
-                print(f"  {to_cycles(p)}")
+        lines = [f"FAIL: {len(blocked)} of {report.total} matchings blocked"]
+        lines += [f"  {cycles}" for cycles in blocked]
+    _emit(args, {"total": report.total, "blocked": blocked}, lines)
     return 0 if report.all_extendable else 1
 
 

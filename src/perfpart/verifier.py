@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice
@@ -20,6 +21,7 @@ from .counting import count_matchings
 from .graph_model import GraphSpec, degree, from_matrix, is_matching, l_graph, row_strings
 from .matchings import enumerate_matchings
 from .perm_core import Perm, is_permutation
+from .search import matching_index
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ def check_factorization(spec: GraphSpec, perms: Sequence[Perm]) -> list[Violatio
     Checks size == degree, membership of every matching, and exact single
     coverage of every edge (equivalently, permutation matrices sum to the
     adjacency matrix).  Valid parts are accepted by the row-set test of
-    _is_factorization; the cover matrix of _factorization_violations is
-    built only for a part that fails it.
+    _is_factorization; _factorization_violations counts the covered edges
+    only for a part that fails it.
     """
     d = degree(spec)
     if _is_factorization(perms, d, _row_sets(spec)):
@@ -121,12 +123,13 @@ def _factorization_violations(
     """Every violation of a member list, worded one per defect."""
     out: list[Violation] = []
     n = spec.n
+    rows = _row_sets(spec)
     if len(perms) != d:
         out.append(
             Violation("size", f"expected {d} matchings (the degree), got {len(perms)}")
         )
     seen: dict[Perm, int] = {}
-    cover = [[0] * n for _ in range(n)]
+    cover: Counter[tuple[int, int]] = Counter()
     for k, p in enumerate(perms):
         p = tuple(p)
         if not is_permutation(p, n):
@@ -141,24 +144,20 @@ def _factorization_violations(
             continue
         seen[p] = k
         for i, x in enumerate(p, start=1):
-            if not spec.adjacency(i, x):
+            if x not in rows[i - 1]:
                 out.append(
                     Violation("not_matching", f"edge ({i},{x}) absent", member=k)
                 )
             else:
-                cover[i - 1][x - 1] += 1
+                cover[i, x] += 1
     if not out:
-        for i in range(n):
-            for j in range(n):
-                want = 1 if spec.adjacency(i + 1, j + 1) else 0
-                got = cover[i][j]
-                if got != want:
-                    out.append(
-                        Violation(
-                            "coverage",
-                            f"edge ({i + 1},{j + 1}) covered {got} times, expected {want}",
-                        )
-                    )
+        # every counted edge is in the graph, so only a graph edge can be miscovered
+        for i, row in enumerate(rows, start=1):
+            for j in sorted(row):
+                got = cover[i, j]
+                if got != 1:
+                    detail = f"edge ({i},{j}) covered {got} times, expected 1"
+                    out.append(Violation("coverage", detail))
     return out
 
 
@@ -290,8 +289,6 @@ def check_extendability(spec: GraphSpec, budget: int | None = None) -> Extendabi
     budget bounds the search nodes spent on each matching; exceeding it
     raises SearchBudgetExceeded.
     """
-    from .search import matching_index  # deferred: search builds on matchings
-
     matchings, index = matching_index(spec)
     blocked = []
     for k, p in enumerate(matchings):

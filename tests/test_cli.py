@@ -105,6 +105,21 @@ def test_enumerate_classify_needs_a_known_family():
     usage_error("enumerate", "--r", "1", "--m", "4", "--classify")
 
 
+def test_graphs_over_the_matching_bound_are_refused_at_once(tmp_path):
+    """enumerate, search and check list every matching before any budgeted
+    node; K_{9,9} and K_{10,10} stop with a usage error instead of running on."""
+    k10 = tmp_path / "k10.txt"
+    k10.write_text(("1" * 10 + "\n") * 10)
+    for argv in (
+        ("search", "--matrix", str(k10), "--budget", "10"),
+        ("check", "--r", "0", "--n", "9"),
+        ("enumerate", "--r", "0", "--n", "10"),
+    ):
+        start = time.perf_counter()
+        usage_error(*argv)
+        assert time.perf_counter() - start < 5
+
+
 def test_construct_l61_golden_then_verify(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run("construct", "--target", "l61", "--golden")
@@ -179,6 +194,13 @@ def test_construct_rejects_oversized_group_targets():
     usage_error("construct", "--target", "l2nn:7")
     usage_error("construct", "--target", "knn:11")
     assert time.perf_counter() - start < 5
+
+
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "x.json")
+    for argv in (("construct", "--target", "l61"), ("search", "--target", "l41")):
+        usage_error(*argv, "--out", out)
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
 def test_certificates_are_byte_stable(run, tmp_path, monkeypatch):
@@ -356,6 +378,35 @@ def test_check_budget_exhaustion(run):
     assert code == 1 and out.strip() == "UNDECIDED: node budget exhausted"
     code, out = run("check", "--r", "1", "--m", "4", "--budget", "1", "--json")
     assert code == 1 and json.loads(out)["error"] == "budget exhausted"
+
+
+def test_json_key_order_is_pinned(run, circulant_file, tmp_path):
+    """search, enumerate and the unreadable-certificate line of verify keep
+    their keys in insertion order; the other payloads sort them."""
+    code, out = run("search", "--target", "l41", "--json")
+    assert out == (
+        '{"found": true, "parts": [[[2, 1, 4, 3], [3, 4, 2, 1], [4, 3, 1, 2]], '
+        '[[2, 3, 4, 1], [3, 4, 1, 2], [4, 1, 2, 3]], '
+        '[[2, 4, 1, 3], [3, 1, 4, 2], [4, 3, 2, 1]]], "out": null}\n'
+    )
+    code, out = run("search", "--matrix", circulant_file, "--json")
+    assert out == '{"found": false}\n'
+    code, out = run("search", "--target", "l62", "--budget", "3", "--json")
+    assert out == '{"found": null, "error": "budget exhausted"}\n'
+    code, out = run("check", "--r", "1", "--m", "4", "--budget", "1", "--json")
+    assert out == '{"blocked": null, "error": "budget exhausted"}\n'
+    code, out = run("check", "--r", "1", "--m", "4", "--json")
+    assert out == '{"blocked": [], "total": 9}\n'
+
+    code, out = run("enumerate", "--r", "1", "--m", "6", "--classify", "--json")
+    assert out.startswith('[{"cycles": "(1 2)(3 4)(5 6)", "class": "C222"}, {"cycles": ')
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3}')
+    code, out = run("verify", str(bad), "--json")
+    assert out == (
+        '{"ok": false, "error": "unreadable certificate: not a certificate: \'graph\'"}\n'
+    )
 
 
 def test_module_entry_point_runs_in_a_subprocess():
