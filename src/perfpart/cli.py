@@ -12,12 +12,12 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, islice
+from itertools import chain
 
 from .construct_group import knn_partition, l2nn_partition
 from .construct_l61 import build_l61
 from .construct_l82 import build_l82, classify_parts
-from .counting import count_matchings, necessary_condition
+from .counting import count_up_to, necessary_condition
 from .graph_model import GraphSpec, degree, from_matrix, l_graph
 from .matchings import enumerate_matchings, label_l61, label_l82
 from .perm_core import parse_cycles, to_cycles
@@ -75,21 +75,22 @@ def _save(parser: argparse.ArgumentParser, cert, path: str) -> None:
 
 
 def _bound_matchings(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
-    """Refuse a graph with more than MATCHINGS_MAX matchings, before any work.
-
-    L graphs use the closed-form count; a matrix is enumerated only up to one
-    matching past the bound.
-    """
-    if spec.kind == "L":
-        count = count_matchings(spec.r, spec.m, n=spec.n)
-    else:
-        count = sum(1 for _ in islice(enumerate_matchings(spec), MATCHINGS_MAX + 1))
+    """Refuse a graph with more than MATCHINGS_MAX matchings, before any work."""
+    count = count_up_to(spec, MATCHINGS_MAX)
     if count > MATCHINGS_MAX:
         has = count if spec.kind == "L" else "more"
         parser.error(
             f"enumerate, search and check are bounded to {MATCHINGS_MAX} matchings; "
             f"this graph has {has}"
         )
+
+
+def _require_regular(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
+    """Refuse a graph whose vertices do not all have one degree, before any work."""
+    try:
+        degree(spec)
+    except ValueError as exc:
+        parser.error(f"{exc} (count, search and check need a regular graph)")
 
 
 def _read_matrix(parser: argparse.ArgumentParser, path: str) -> GraphSpec:
@@ -116,6 +117,7 @@ def _graph_from_flags(parser: argparse.ArgumentParser, args) -> GraphSpec:
 
 def _cmd_count(parser, args) -> int:
     spec = _graph_from_flags(parser, args)
+    _require_regular(parser, spec)
     oracle = args.oracle or spec.kind == "matrix"
     if oracle and spec.n > PERMANENT_MAX_N:
         parser.error(
@@ -257,6 +259,7 @@ def _cmd_search(parser, args) -> int:
             parser.error("need --target or --matrix FILE")
         spec = _read_matrix(parser, args.matrix)
         asserted = False
+    _require_regular(parser, spec)
     _bound_matchings(parser, spec)
 
     try:
@@ -289,6 +292,7 @@ def _cmd_search(parser, args) -> int:
 
 def _cmd_check(parser, args) -> int:
     spec = _graph_from_flags(parser, args)
+    _require_regular(parser, spec)
     _bound_matchings(parser, spec)
     try:
         report = check_extendability(spec, budget=args.budget)

@@ -15,6 +15,10 @@ four families:
   * 4 parts:  the axis-class C33 pairs with the other twelve C222 elements
     (build_t4).
 
+A zone row holds a C33 pair {rep, rep^-1} with rep = (1 x y)(a b c) and
+a < b < c.  Its pattern, (1 x y)(a b c) or (1 x y)(a c b), is that double
+3-cycle with its other cycle in either orientation; a seed is such a rep.
+
 The default axis, seed, and pattern reproduce the reference tables bundled
 under perfpart/data exactly; every other (axis, seed, pattern) choice is
 accepted and checked the same way.
@@ -32,8 +36,6 @@ from .search import edge_masks, exact_cover
 from .verifier import PartitionCertificate, check_factorization, make_certificate
 
 N = 6
-
-ClassLabel = int
 
 DEFAULT_Y0 = 5
 DEFAULT_SEED: Perm = (3, 1, 2, 5, 6, 4)  # (1 3 2)(4 5 6)
@@ -57,7 +59,7 @@ def _c33_cycles(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return cyc[0], cyc[1]  # cycles are min-first, so cyc[0] contains 1
 
 
-def class_of(p: Perm) -> ClassLabel:
+def class_of(p: Perm) -> int:
     """The zone label of a C33 element; an element and its inverse agree."""
     (_, x, y), (_, b, c) = _c33_cycles(p)
     return y if b < c else x
@@ -69,96 +71,65 @@ def canonical_rep(p: Perm) -> Perm:
     return p if b < c else inverse(p)
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Cyclic word attached to a canonical C33 representative (1 x y)(a b c).
+def _rep(beta: Perm) -> Perm:
+    """The canonical representative (1 x y)(a b c) of a pattern (1 x y)(word)."""
+    first, second = _c33_cycles(beta)
+    return from_cycle_tuples([first, sorted(second)], N)
 
-    The word arranges {a, b, c} and decides which three C24 elements share a
-    zone row with the pair {rep, rep^-1}.  Only the cyclic order matters, so
-    the word is stored min-first.
+
+def _steps(beta: Perm) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """x, y and (t, beta(t), beta^2(t)) per word letter t of beta = (1 x y)(word).
+
+    On the word, beta and beta^2 step to the next and the previous letter.
     """
-
-    x: int
-    y: int
-    word: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(set((1, self.x, self.y, *self.word))) != N:
-            raise ValueError(f"pattern must involve all six points: {self}")
-        k = self.word.index(min(self.word))
-        if k:
-            object.__setattr__(self, "word", self.word[k:] + self.word[:k])
-
-    @classmethod
-    def for_rep(cls, rep: Perm, beta: Perm) -> Pattern:
-        """Read a full permutation as the pattern of a canonical rep."""
-        first, second = _c33_cycles(rep)
-        bfirst, bsecond = _c33_cycles(beta)
-        if bfirst != first or set(bsecond) != set(second):
-            raise ValueError(
-                f"pattern {to_cycles(beta)} does not fit the representative "
-                f"{to_cycles(rep)}: it must share the 3-cycle through 1 and "
-                "rearrange the other one"
-            )
-        return cls(x=first[1], y=first[2], word=bsecond)
-
-    def perm(self) -> Perm:
-        return from_cycle_tuples([(1, self.x, self.y), self.word], N)
-
-    def nxt(self, v: int) -> int:
-        return self.word[(self.word.index(v) + 1) % 3]
-
-    def prv(self, v: int) -> int:
-        return self.word[(self.word.index(v) - 1) % 3]
+    (_, x, y), word = _c33_cycles(beta)
+    return x, y, [(t, beta[t - 1], beta[beta[t - 1] - 1]) for t in sorted(word)]
 
 
-def pattern_apply(beta: Pattern) -> tuple[Perm, Perm, Perm]:
+def pattern_apply(beta: Perm) -> tuple[Perm, Perm, Perm]:
     """The three C24 elements a pattern pins to its zone row.
 
-    For each word letter t the element is (1 t x nxt(t))(y prv(t)); all three
-    carry y, never 1, in their 2-cycle.
+    For each word letter t the element is (1 t x beta(t))(y beta^2(t)); all
+    three carry y, never 1, in their 2-cycle.
     """
-    out = tuple(
-        from_cycle_tuples([(1, t, beta.x, beta.nxt(t)), (beta.y, beta.prv(t))], N)
-        for t in sorted(beta.word)
-    )
+    x, y, steps = _steps(beta)
+    out = tuple(from_cycle_tuples([(1, t, x, nxt), (y, prv)], N) for t, nxt, prv in steps)
     assert len({cycles_of(e)[1] for e in out}) == 3, "2-cycles must be distinct"
     return out
 
 
 @dataclass(frozen=True)
 class Zone:
-    """Four rows of five matchings: a class-y C33 pair plus three C24 elements."""
+    """Four rows of five matchings: a class-y C33 pair plus three C24 elements.
+
+    A row is held as its pattern beta; its pair is _rep(beta) and the inverse.
+    """
 
     y: int
-    rows: tuple[tuple[Perm, Pattern], ...]
+    rows: tuple[Perm, ...]
 
     @property
     def subsets(self) -> list[tuple[Perm, ...]]:
-        return [(rep, inverse(rep), *pattern_apply(pat)) for rep, pat in self.rows]
+        reps = [_rep(beta) for beta in self.rows]
+        return [(r, inverse(r), *pattern_apply(b)) for r, b in zip(reps, self.rows)]
 
     @property
     def quads(self) -> list[Perm]:
         """The twelve C24 members, in row order."""
-        return [e for _, pat in self.rows for e in pattern_apply(pat)]
+        return [e for beta in self.rows for e in pattern_apply(beta)]
 
 
-def _zone_rows(rep: Perm, beta: Pattern) -> dict[Perm, Pattern]:
-    """All four rows {canonical rep: pattern} spanned by one seeded row.
+def _zone_rows(beta: Perm) -> set[Perm]:
+    """The patterns of all four rows spanned by one seeded row.
 
-    The three other class-y pairs are (1 l y)(rest ascending) for the word
-    letters l; each inherits the word (x prv(l) nxt(l)).
+    The three other class-y rows have the patterns (1 l y)(x beta^2(l) beta(l))
+    for the word letters l.
     """
-    (_, x, y), _ = _c33_cycles(rep)
-    rows = {rep: beta}
-    for ell in sorted(beta.word):
-        rest = sorted(({x, *beta.word}) - {ell})
-        gamma = from_cycle_tuples([(1, ell, y), rest], N)
-        rows[gamma] = Pattern(x=ell, y=y, word=(x, beta.prv(ell), beta.nxt(ell)))
-    return rows
+    x, y, steps = _steps(beta)
+    return {beta} | {from_cycle_tuples([(1, t, y), (x, prv, nxt)], N) for t, nxt, prv in steps}
 
 
-def propagate_zone(seed: Perm, beta: Pattern) -> Zone:
+def propagate_zone(seed: Perm, beta: Perm) -> Zone:
     """Grow the full zone of seed's class from one (representative, pattern) row.
 
     Asserts the defining consistency conditions: re-seeding from any derived
@@ -166,27 +137,26 @@ def propagate_zone(seed: Perm, beta: Pattern) -> Zone:
     4-cycle tails that are rotations of one another yet pairwise distinct as
     based words.
     """
-    first, second = _c33_cycles(seed)
-    if second != tuple(sorted(second)):
+    if canonical_rep(seed) != seed:
         raise ValueError(
             f"seed must be the canonical representative, got {to_cycles(seed)}"
         )
-    if (beta.x, beta.y) != (first[1], first[2]) or set(beta.word) != set(second):
-        raise ValueError(f"pattern {beta} does not fit seed {to_cycles(seed)}")
+    if _rep(beta) != seed:
+        raise ValueError(f"pattern {to_cycles(beta)} does not fit seed {to_cycles(seed)}")
     y = class_of(seed)
-    rows = _zone_rows(seed, beta)
+    rows = _zone_rows(beta)
 
-    for rep, pat in rows.items():
-        assert _zone_rows(rep, pat) == rows, (
-            f"zone not well defined: re-seeding from {to_cycles(rep)} diverged"
+    for row in rows:
+        assert _zone_rows(row) == rows, (
+            f"zone not well defined: re-seeding from {to_cycles(_rep(row))} diverged"
         )
 
-    members = set(rows) | {inverse(r) for r in rows}
+    members = {p for rep in map(_rep, rows) for p in (rep, inverse(rep))}
     assert members == {p for p in _classes()["C33"] if class_of(p) == y}
 
     tails_by_two: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for pat in rows.values():
-        for e in pattern_apply(pat):
+    for row in rows:
+        for e in pattern_apply(row):
             assert label_l61(e) == "C24"
             four, two = cycles_of(e)  # the 4-cycle holds 1, so it sorts first
             assert y in two and four[0] == 1
@@ -198,28 +168,20 @@ def propagate_zone(seed: Perm, beta: Pattern) -> Zone:
             "members sharing a 2-cycle must have rotated, non-equal 4-cycles"
         )
 
-    return Zone(y=y, rows=tuple(sorted(rows.items())))
+    return Zone(y=y, rows=tuple(sorted(rows)))
 
 
-def linked_zones(seed: Perm, beta: Pattern, y0: int) -> dict[int, Zone]:
-    """All five zones forced by one seeded zone.
+def linked_zones(beta: Perm) -> dict[int, Zone]:
+    """All five zones forced by the zone that pattern beta seeds.
 
-    Each row (1 z y)(a b c) of the seed's zone hands zone z its seed: the
-    transposed form (1 z y)(a c b) has class z, and its canonical rep carries
-    the inverted pattern.  y0 only selects which zone the caller withholds
-    for build_t3/build_t4; all five are returned.
+    Each row pattern (1 z y)(word) of the seed zone hands zone z its seed:
+    the inverse (1 y z)(word reversed) is a pattern of (1 y z)(a b c), which
+    has class z.  The caller withholds the axis zone for build_t3/build_t4;
+    all five are returned.
     """
-    if y0 not in range(2, N + 1):
-        raise ValueError(f"axis must be in 2..{N}, got {y0}")
-    seed = canonical_rep(seed)
-    y = class_of(seed)
-    zones = {y: propagate_zone(seed, beta)}
-    for rep, pat in zones[y].rows:
-        (_, z, _), (a, b, c) = _c33_cycles(rep)
-        star = from_cycle_tuples([(1, z, y), (a, c, b)], N)
-        grep = canonical_rep(star)
-        gpat = Pattern.for_rep(grep, inverse(pat.perm()))
-        zones[z] = propagate_zone(grep, gpat)
+    seeded = propagate_zone(_rep(beta), beta)
+    linked = [propagate_zone(_rep(gamma), gamma) for gamma in map(inverse, seeded.rows)]
+    zones = {zone.y: zone for zone in (seeded, *linked)}
     assert sorted(zones) == list(range(2, N + 1))
 
     flat = [e for zone in zones.values() for sub in zone.subsets for e in sub]
@@ -241,17 +203,13 @@ def t1_subset(sigma: Perm) -> tuple[Perm, ...]:
     variants = set()
     for s in range(4):
         x3, x4, x5, x6 = four[s:] + four[:s]
-        variants.add(
-            frozenset(
-                (
-                    sigma,
-                    from_cycle_tuples([(1, x3, x2, x5, x4, x6)], N),
-                    from_cycle_tuples([(1, x4, x2, x6, x5, x3)], N),
-                    from_cycle_tuples([(1, x5, x2, x3, x6, x4)], N),
-                    from_cycle_tuples([(1, x6, x2, x4, x3, x5)], N),
-                )
-            )
-        )
+        sixes = [
+            (1, x3, x2, x5, x4, x6),
+            (1, x4, x2, x6, x5, x3),
+            (1, x5, x2, x3, x6, x4),
+            (1, x6, x2, x4, x3, x5),
+        ]
+        variants.add(frozenset([sigma, *(from_cycle_tuples([c], N) for c in sixes)]))
     assert len(variants) == 1, "rotating the written 4-cycle changed the subset"
     part = tuple(sorted(variants.pop()))
     assert len(part) == 5 and sum(label_l61(e) == "C6" for e in part) == 4
@@ -305,19 +263,18 @@ def build_t3(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
 def build_t4(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
     """4 parts: each axis-class pair with three C222 elements avoiding (1 y0).
 
-    A row with representative (1 x y0) and word (a b c) contributes
-    {rep, rep^-1, (1 a)(x b)(y0 c), (1 b)(x c)(y0 a), (1 c)(x a)(y0 b)}.
+    A row with pattern (1 x y0)(word) contributes its pair and, for each word
+    letter t, the C222 element (1 t)(x beta(t))(y0 beta^2(t)).
     """
     if zone.y != y0:
         raise ValueError(f"zone is for class {zone.y}, not the axis {y0}")
     parts = []
-    for rep, pat in zone.rows:
-        trips = [
-            from_cycle_tuples([(1, t), (pat.x, pat.nxt(t)), (y0, pat.prv(t))], N)
-            for t in sorted(pat.word)
-        ]
+    for beta in zone.rows:
+        x, _, steps = _steps(beta)
+        trips = [from_cycle_tuples([(1, t), (x, nxt), (y0, prv)], N) for t, nxt, prv in steps]
         for e in trips:
             assert label_l61(e) == "C222" and (1, y0) not in cycles_of(e)
+        rep = _rep(beta)
         parts.append((rep, inverse(rep), *trips))
     flat = [e for part in parts for e in part]
     assert len(flat) == len(set(flat)) == 20
@@ -327,7 +284,7 @@ def build_t4(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
 def build_l61(
     y0: int = DEFAULT_Y0,
     seed: Perm | None = None,
-    pattern: Perm | Pattern | None = None,
+    pattern: Perm | None = None,
 ) -> PartitionCertificate:
     """The full 53-part partition of L(1, 6)'s 265 matchings.
 
@@ -338,17 +295,16 @@ def build_l61(
     """
     rep = canonical_rep(seed) if seed is not None else DEFAULT_SEED
     if pattern is None:
-        beta = (
-            Pattern.for_rep(rep, DEFAULT_PATTERN)
-            if seed is None
-            else Pattern.for_rep(rep, rep)
+        pattern = DEFAULT_PATTERN if seed is None else rep
+    if _rep(pattern) != rep:
+        raise ValueError(
+            f"pattern {to_cycles(pattern)} does not fit the representative {to_cycles(rep)}: "
+            "it must share the 3-cycle through 1 and rearrange the other one"
         )
-    elif isinstance(pattern, Pattern):
-        beta = pattern
-    else:
-        beta = Pattern.for_rep(rep, pattern)
+    if y0 not in range(2, N + 1):
+        raise ValueError(f"axis must be in 2..{N}, got {y0}")
 
-    zones = linked_zones(rep, beta, y0)
+    zones = linked_zones(pattern)
     parts: list[tuple[Perm, ...]] = build_t1()
     for z, zone in zones.items():
         if z != y0:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import islice
 
 from .graph_model import GraphSpec, degree
+from .matchings import enumerate_matchings
 
 
 def rook_block(r: int) -> list[int]:
@@ -58,6 +60,19 @@ def count_matchings(r: int, m: int | None = None, n: int | None = None) -> int:
         for k, a_k in enumerate(coeffs)
         if k <= size
     )
+
+
+def count_up_to(spec: GraphSpec, limit: int) -> int:
+    """The matching count of a graph, exact whenever it is at most limit.
+
+    L graphs use the closed form, exact at any size.  A matrix is enumerated
+    only up to one matching past limit, so a larger count reads as limit + 1;
+    that costs about as much as listing limit matchings, where Ryser's
+    permanent would cost 2^n whatever the limit.
+    """
+    if spec.kind == "L" and spec.r is not None:
+        return count_matchings(spec.r, spec.m, n=spec.n)
+    return sum(1 for _ in islice(enumerate_matchings(spec), limit + 1))
 
 
 def ryser_permanent(rows: Sequence[int], n: int | None = None) -> int:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice
 
-from .counting import count_matchings
+from .counting import count_matchings, count_up_to
 from .graph_model import GraphSpec, degree, from_matrix, is_matching, l_graph, row_strings
 from .matchings import enumerate_matchings
 from .perm_core import Perm, is_permutation
@@ -183,20 +183,6 @@ def _closed_count(spec: GraphSpec) -> int | None:
     return None
 
 
-def _has_exactly(spec: GraphSpec, count: int) -> bool:
-    """True when the graph has exactly `count` matchings, given that it has
-    at least that many.
-
-    L graphs use the closed form.  A matrix is enumerated up to one matching
-    past `count`, which costs about as much as reading a certificate of that
-    size; Ryser's permanent would cost 2^n whatever the certificate.
-    """
-    total = _closed_count(spec)
-    if total is not None:
-        return total == count
-    return next(islice(enumerate_matchings(spec), count, None), None) is None
-
-
 # A failed completeness claim names at most this many missing matchings.
 MISSING_NAMED = 100
 
@@ -231,7 +217,7 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
 
     Once every member is a valid matching and no two are equal, the claim
     of completeness holds exactly when the graph has no further matching,
-    which _has_exactly decides by count.  Matchings are enumerated only to
+    which count_up_to decides by count.  Matchings are enumerated only to
     name what is missing when that test does not pass, and only up to the
     first MISSING_NAMED of them.
     """
@@ -262,7 +248,7 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
                     )
                 first.setdefault(p, k)
 
-    if cert.complete and (violations or not _has_exactly(spec, len(seen))):
+    if cert.complete and (violations or count_up_to(spec, len(seen)) != len(seen)):
         violations.extend(_completeness_violations(spec, seen))
 
     return PartitionReport(

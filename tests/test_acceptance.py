@@ -12,9 +12,7 @@ from contextlib import contextmanager
 from perfpart.construct_group import knn_partition, l2nn_partition
 from perfpart.construct_l61 import (
     DEFAULT_PATTERN,
-    DEFAULT_SEED,
     DEFAULT_Y0,
-    Pattern,
     build_l61,
     build_t1,
     build_t3,
@@ -45,7 +43,7 @@ from perfpart.matchings import (
     enumerate_matchings,
     label_l82,
 )
-from perfpart.perm_core import cycles_of
+from perfpart.perm_core import cycles_of, from_cycle_tuples
 from perfpart.search import find_perfect_partition
 from perfpart.tables import (
     canonical_parts,
@@ -113,9 +111,7 @@ def test_criterion_04_reference_build_matches_printed_tables():
         assert len(cert.parts) == 53
         assert check_partition(cert).ok
 
-        zones = linked_zones(
-            DEFAULT_SEED, Pattern.for_rep(DEFAULT_SEED, DEFAULT_PATTERN), DEFAULT_Y0
-        )
+        zones = linked_zones(DEFAULT_PATTERN)
         assert diff_parts(build_t1(), t1_table()) == ([], [])
         for y in range(2, 7):
             assert diff_parts(zones[y].subsets, zone_table()[y]) == ([], []), y
@@ -138,7 +134,8 @@ def test_criterion_05_build_is_seed_and_axis_robust():
             for rep in reps:
                 (_, x, y), (a, b, c) = cycles_of(rep)
                 for word in ((a, b, c), (a, c, b)):
-                    cert = build_l61(y0, seed=rep, pattern=Pattern(x=x, y=y, word=word))
+                    pattern = from_cycle_tuples([(1, x, y), word], 6)
+                    cert = build_l61(y0, seed=rep, pattern=pattern)
                     report = check_partition(cert)
                     assert report.ok, f"y0={y0} rep={rep} word={word}"
                     assert report.n_parts == 53 and report.n_matchings == 265

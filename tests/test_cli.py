@@ -120,6 +120,17 @@ def test_graphs_over_the_matching_bound_are_refused_at_once(tmp_path):
         assert time.perf_counter() - start < 5
 
 
+def test_a_non_regular_matrix_is_a_usage_error(run, tmp_path, capsys):
+    """count, search and check need one degree; enumerate lists any matrix."""
+    path = tmp_path / "irregular.txt"
+    path.write_text("110\n011\n111\n")
+    for command in ("count", "search", "check"):
+        usage_error(command, "--matrix", str(path))
+        assert "matrix is not regular" in capsys.readouterr().err
+    code, out = run("enumerate", "--matrix", str(path))
+    assert code == 0 and out.split() == ["()", "(2", "3)", "(1", "2", "3)"]
+
+
 def test_construct_l61_golden_then_verify(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run("construct", "--target", "l61", "--golden")

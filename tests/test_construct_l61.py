@@ -1,12 +1,14 @@
 """The 53-part construction: zones, the four part families, golden tables."""
 
+import hashlib
+import json
+
 import pytest
 
 from perfpart.construct_l61 import (
     DEFAULT_PATTERN,
     DEFAULT_SEED,
     DEFAULT_Y0,
-    Pattern,
     build_l61,
     build_t1,
     build_t3,
@@ -31,11 +33,16 @@ from perfpart.tables import (
     t4_table,
     zone_table,
 )
-from perfpart.verifier import check_partition
+from perfpart.verifier import certificate_to_json, check_partition
+
+
+# sha256 over the certificates of every axis x class-2 seed x pattern build,
+# in the order of test_every_axis_seed_and_pattern_build_is_pinned
+CLASS2_BUILDS_SHA256 = "2b728c7f6fe8e98ad6af298996cac838c9d3ad8a30acaf5cf5a2716ea91e6c40"
 
 
 def default_zones():
-    return linked_zones(DEFAULT_SEED, Pattern.for_rep(DEFAULT_SEED, DEFAULT_PATTERN), DEFAULT_Y0)
+    return linked_zones(DEFAULT_PATTERN)
 
 
 def c33_reps(l61_classes):
@@ -44,7 +51,7 @@ def c33_reps(l61_classes):
 
 def patterns_of(rep):
     (_, x, y), (a, b, c) = cycles_of(rep)
-    return [Pattern(x=x, y=y, word=w) for w in ((a, b, c), (a, c, b))]
+    return [from_cycle_tuples([(1, x, y), w], 6) for w in ((a, b, c), (a, c, b))]
 
 
 def test_class_of_examples():
@@ -75,24 +82,15 @@ def test_class_of_rejects_other_types():
         class_of(parse_cycles("(1 2 3 4 5 6)", 6))
 
 
-def test_pattern_normalizes_word_rotation():
-    a = Pattern(x=3, y=2, word=(4, 6, 5))
-    b = Pattern(x=3, y=2, word=(6, 5, 4))
-    assert a == b and a.word[0] == 4
-    assert a.nxt(4) == 6 and a.nxt(6) == 5 and a.nxt(5) == 4
-    assert a.prv(4) == 5 and a.perm() == DEFAULT_PATTERN
-
-
 def test_pattern_validation():
-    with pytest.raises(ValueError, match="six points"):
-        Pattern(x=3, y=2, word=(4, 6, 3))
-    with pytest.raises(ValueError, match="does not fit"):
-        Pattern.for_rep(DEFAULT_SEED, parse_cycles("(1 2 3)(4 6 5)", 6))
+    with pytest.raises(ValueError, match="does not fit the representative"):
+        build_l61(pattern=parse_cycles("(1 2 3)(4 6 5)", 6))
+    with pytest.raises(ValueError, match="double 3-cycle"):
+        build_l61(pattern=parse_cycles("(1 3 2 4 6 5)", 6))
 
 
 def test_pattern_apply_frozen_example():
-    beta = Pattern.for_rep(DEFAULT_SEED, DEFAULT_PATTERN)
-    got = pattern_apply(beta)
+    got = pattern_apply(DEFAULT_PATTERN)
     want = (
         parse_cycles("(1 4 3 6)(2 5)", 6),
         parse_cycles("(1 5 3 4)(2 6)", 6),
@@ -116,16 +114,16 @@ def test_t1_matches_table():
 
 def test_zone_reseeding_reproduces_the_zone():
     zone = default_zones()[class_of(DEFAULT_SEED)]
-    for rep, pat in zone.rows:
-        assert propagate_zone(rep, pat) == zone
+    for (rep, *_), beta in zip(zone.subsets, zone.rows):
+        assert propagate_zone(rep, beta) == zone
 
 
 def test_propagate_zone_validation():
     with pytest.raises(ValueError, match="canonical"):
-        propagate_zone(inverse(DEFAULT_SEED), Pattern.for_rep(DEFAULT_SEED, DEFAULT_PATTERN))
+        propagate_zone(inverse(DEFAULT_SEED), DEFAULT_PATTERN)
     other = canonical_rep(parse_cycles("(1 2 3)(4 5 6)", 6))
     with pytest.raises(ValueError, match="does not fit"):
-        propagate_zone(other, Pattern.for_rep(DEFAULT_SEED, DEFAULT_PATTERN))
+        propagate_zone(other, DEFAULT_PATTERN)
 
 
 def test_linked_zones_cover_c33_and_c24_disjointly(l61_classes):
@@ -136,7 +134,7 @@ def test_linked_zones_cover_c33_and_c24_disjointly(l61_classes):
     assert set(members) == set(l61_classes["C33"]) | set(l61_classes["C24"])
     for y, zone in zones.items():
         assert zone.y == y
-        for rep, _ in zone.rows:
+        for rep, *_ in zone.subsets:
             assert class_of(rep) == y
 
 
@@ -167,22 +165,23 @@ def test_t3_agrees_with_the_closed_formula(l61_classes):
     ]
     assert len(anchors) == 3
 
-    def f_mu(mu, pat):
+    def f_mu(mu, beta):
+        x = beta[0]
         pairs = [set(c) for c in cycles_of(mu)]
         assert {1, DEFAULT_Y0} in pairs
-        a = (next(s for s in pairs if pat.x in s) - {pat.x}).pop()
-        b, c = pat.prv(a), pat.nxt(a)
+        a = (next(s for s in pairs if x in s) - {x}).pop()
+        b, c = beta[beta[a - 1] - 1], beta[a - 1]
         return frozenset(
             {
                 mu,
-                from_cycle_tuples([(1, b, a, c), (DEFAULT_Y0, pat.x)], 6),
-                from_cycle_tuples([(1, c, pat.x, b), (DEFAULT_Y0, a)], 6),
-                from_cycle_tuples([(1, pat.x, c, a), (DEFAULT_Y0, b)], 6),
-                from_cycle_tuples([(1, a, b, pat.x), (DEFAULT_Y0, c)], 6),
+                from_cycle_tuples([(1, b, a, c), (DEFAULT_Y0, x)], 6),
+                from_cycle_tuples([(1, c, x, b), (DEFAULT_Y0, a)], 6),
+                from_cycle_tuples([(1, x, c, a), (DEFAULT_Y0, b)], 6),
+                from_cycle_tuples([(1, a, b, x), (DEFAULT_Y0, c)], 6),
             }
         )
 
-    frames = [{f_mu(mu, pat) for mu in anchors} for _, pat in zone.rows]
+    frames = [{f_mu(mu, beta) for mu in anchors} for beta in zone.rows]
     assert all(frame == frames[0] for frame in frames), "formula frame varies"
     formula_parts = [tuple(sorted(part)) for part in frames[0]]
     assert canonical_parts(formula_parts) == canonical_parts(
@@ -197,7 +196,7 @@ def test_builders_reject_mismatched_zone():
     with pytest.raises(ValueError, match="axis"):
         build_t4(3, zones[4])
     with pytest.raises(ValueError, match="axis"):
-        linked_zones(DEFAULT_SEED, Pattern.for_rep(DEFAULT_SEED, DEFAULT_PATTERN), 7)
+        build_l61(7)
 
 
 def test_default_build_matches_golden_parts(l61_cert):
@@ -237,7 +236,7 @@ def test_every_seed_and_pattern_of_one_class_builds(l61_classes):
     for rep in reps:
         for pat in patterns_of(rep):
             cert = build_l61(seed=rep, pattern=pat)
-            assert check_partition(cert).ok, f"seed {rep} word {pat.word}"
+            assert check_partition(cert).ok, f"seed {rep} pattern {pat}"
 
 
 def test_build_l61_rejects_bad_axis():
@@ -255,7 +254,7 @@ def test_every_t3_anchor_has_exactly_one_completing_cover(l61_classes):
         anchors = sorted(p for p in l61_classes["C222"] if (1, y0) in cycles_of(p))
         for rep in c33_reps(l61_classes):
             for beta in patterns_of(rep):
-                quads = sorted(linked_zones(rep, beta, y0)[y0].quads)
+                quads = sorted(linked_zones(beta)[y0].quads)
                 used = []
                 for mu in anchors:
                     rows = [mu, *quads]
@@ -265,3 +264,16 @@ def test_every_t3_anchor_has_exactly_one_completing_cover(l61_classes):
                 assert sorted(used) == quads
                 inputs += 1
     assert inputs == 200
+
+
+def test_every_axis_seed_and_pattern_build_is_pinned(l61_classes):
+    """The certificates of all 40 builds over y0 in 2..6, the four class-2
+    seeds and both patterns of each are byte-identical to the recorded ones."""
+    reps = [r for r in c33_reps(l61_classes) if class_of(r) == 2]
+    digest = hashlib.sha256()
+    for y0 in range(2, 7):
+        for rep in reps:
+            for pat in patterns_of(rep):
+                cert = build_l61(y0, seed=rep, pattern=pat)
+                digest.update((json.dumps(certificate_to_json(cert)) + "\n").encode())
+    assert digest.hexdigest() == CLASS2_BUILDS_SHA256
