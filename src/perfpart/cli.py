@@ -248,6 +248,8 @@ def _cmd_verify(parser, args) -> int:
 def _cmd_search(parser, args) -> int:
     if args.target is not None and args.matrix is not None:
         parser.error("--target excludes --matrix")
+    if args.all and args.out:
+        parser.error("--out applies to a single found partition, not to --all")
     if args.target is not None:
         if args.target not in SEARCH_TARGETS:
             parser.error(f"unknown target {args.target!r}; use l41, l51 or l62")

@@ -11,10 +11,10 @@ S2 (two; 768), and S4 (four; 144).  Three part families exhaust them:
     blockwise complements plus four S1 members S, T, U, V derived by
     deterministic chains; uses all of S0_1 and S1.
   * Type II  (build_type2): 384 parts, each four S0 - S0_1 members built
-    from a block 4-cycle and four free chord blocks plus an S2 pair that
-    completes the sum, chosen among the four residual decompositions by
-    chord parities; one canonical seed per part; uses all of S0 - S0_1 and
-    S2.
+    from a block 4-cycle and four free chord blocks plus the S2 pair that
+    covers what they leave, fixed by two chord parities and filled in by the
+    type-I chain walker; one canonical seed per part; uses all of S0 - S0_1
+    and S2.
   * Type III (build_type3): 24 parts expanding the three block-level
     factorizations of the 4x4 pattern by complementary I2/R2 assignments;
     uses all of S4.
@@ -24,11 +24,10 @@ build_l82 assembles the 792 parts into a verified certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .graph_model import GraphSpec, from_matrix, invertible_blocks, l_graph
+from .graph_model import GraphSpec, from_matrix, l_graph
 from .matchings import classify_l82, enumerate_matchings
 from .perm_core import Perm, is_permutation
 from .tables import l41_table
@@ -129,9 +128,10 @@ def _forced(grid: Grid, pos: tuple[int, int]) -> EBlock:
 def _walk(p_grid: Grid, ring: tuple[tuple[int, int], ...], members: tuple[Grid, ...], seed_row: int) -> bool:
     """Fill one determination chain around a block rectangle; True if it closes.
 
-    A slot is the complementary pair of cells that P + Q leave free at a ring
-    position.  members[0] takes ring[0]'s slot cell in seed_row; members[n]
-    then steps to ring[n + 1] along a block row (even n) or column (odd n),
+    A slot is the complementary pair of cells that p_grid's cell at a ring
+    position and its complement leave free: for type I, the cells P + Q
+    leave.  members[0] takes ring[0]'s slot cell in seed_row; members[n] then
+    steps to ring[n + 1] along a block row (even n) or column (odd n),
     taking the slot cell off its previous row (column), and members[n + 1]
     takes the complementary cell.  The chain closes when members[3]'s cell at
     ring[0] complements members[0]'s.
@@ -154,31 +154,15 @@ def _co_invertible(e: EBlock) -> InvBlock:
     return R2 if e[0] == e[1] else I2
 
 
-@dataclass(frozen=True)
-class ZeroPattern:
-    """A transposition product (1 i)(j k) of block indices, j < k.
-
-    S0_1 members with this pattern have their off-diagonal zero blocks at
-    exactly (1, i), (i, 1), (j, k), (k, j).
-    """
-
-    i: int
-    j: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if {self.i, self.j, self.k} != {2, 3, 4} or self.j > self.k:
-            raise ValueError(f"bad zero pattern (1 {self.i})({self.j} {self.k})")
+# A zero pattern (i, j, k) is the transposition product (1 i)(j k) of block
+# indices, j < k: S0_1 members with it have their off-diagonal zero blocks at
+# exactly (1, i), (i, 1), (j, k), (k, j).
+ZERO_PATTERNS: tuple[tuple[int, int, int], ...] = ((2, 3, 4), (3, 2, 4), (4, 2, 3))
 
 
-ZERO_PATTERNS: tuple[ZeroPattern, ...] = (
-    ZeroPattern(2, 3, 4),
-    ZeroPattern(3, 2, 4),
-    ZeroPattern(4, 2, 3),
-)
-
-
-def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]) -> tuple[Perm, ...]:
+def type1_part(
+    pattern: tuple[int, int, int], free: tuple[EBlock, EBlock, EBlock, EBlock]
+) -> tuple[Perm, ...]:
     """One part of two complementary S0_1 members and four chained S1 members.
 
     free lists the blocks of P at (1, j), (i, k), (j, 1), (k, i); the other
@@ -188,7 +172,9 @@ def type1_part(pattern: ZeroPattern, free: tuple[EBlock, EBlock, EBlock, EBlock]
     chains plus corner closure.  Every forced step is checked; a failed
     closure raises instead of emitting a bad part.
     """
-    i, j, k = pattern.i, pattern.j, pattern.k
+    i, j, k = pattern
+    if {i, j, k} != {2, 3, 4} or j > k:
+        raise ValueError(f"bad zero pattern (1 {i})({j} {k})")
     e1, e2, e3, e4 = free
     p_grid: Grid = {(1, j): e1, (i, k): e2, (j, 1): e3, (k, i): e4}
     for pos in ((1, k), (i, j), (k, 1), (j, i)):
@@ -260,7 +246,9 @@ def _residual_pairs(members: tuple[Perm, ...]) -> list[tuple[Perm, Perm]]:
 
     The residual keeps two cells in every row, so each of its matchings
     pairs with the matching formed by the cells it leaves; each pair is
-    listed once, as (smaller, larger), in sorted order.
+    listed once, as (smaller, larger), in sorted order.  A search over the
+    residual's matchings: it serves type2_literal_diagnostic and the tests
+    that check the type-II pairs, not the build.
     """
     rows = list(_graph().rows)
     for p in members:
@@ -286,63 +274,6 @@ def _type2_member(grid: Grid, context: str) -> Perm:
     if _labels().get(m) != "S0_rest":
         raise RuntimeError(f"family member not in S0 minus S0_1: {context}")
     return m
-
-
-def _chord_parity(rep_zero: tuple[Grid, Grid], pos: tuple[int, int]) -> int:
-    """0 if the complementary grid pair holds {E11, E22} at pos, 1 for the
-    antidiagonal pair {E12, E21}.
-
-    Invariant under every seed that rebuilds the same member set, so rules
-    keyed on it are functions of the part alone.
-    """
-    cells = {g[pos] for g in rep_zero}
-    if cells == {(1, 1), (2, 2)}:
-        return 0
-    if cells == {(1, 2), (2, 1)}:
-        return 1
-    raise RuntimeError(f"chord blocks at {pos} are not complementary: {cells}")
-
-
-def _complete_family(
-    grids: tuple[Grid, ...],
-    cycle: tuple[int, int, int, int],
-    context: str,
-) -> tuple[Perm, ...]:
-    members = tuple(_type2_member(g, context) for g in grids)
-    one, i, j, k = cycle
-    rep_zero = tuple(g for g in grids if (1, i) not in g)
-    if len(rep_zero) != 2:
-        raise RuntimeError(f"family must hold two cycle-zero members: {context}")
-
-    labels = _labels()
-    s2_pairs = [
-        pr
-        for pr in _residual_pairs(members)
-        if labels.get(pr[0]) == labels.get(pr[1]) == "S2"
-    ]
-    if len(s2_pairs) != 4:
-        raise RuntimeError(
-            f"residual of {context} admits {len(s2_pairs)} S2 decompositions "
-            f"instead of four; members={members}"
-        )
-    # Two decompositions put the invertible blocks in block rows {1, j} and
-    # two in {i, k}; within a row class the two differ by complementing
-    # every E-block.  Picking by the two 1-adjacent chord parities keeps the
-    # choice a function of the member set and makes the 384 chosen pairs
-    # sweep S2 exactly once; partnered families (row-swap images of each
-    # other) flip both parities and so land in the opposite row class.
-    want_top = _chord_parity(rep_zero, (1, j)) == 0
-    row_class = sorted(
-        pr
-        for pr in s2_pairs
-        if any(a == 1 for m in pr for a, _ in invertible_blocks(m)) == want_top
-    )
-    if len(row_class) != 2:
-        raise RuntimeError(f"residual row classes are unbalanced: {context}")
-    part = (*members, *row_class[_chord_parity(rep_zero, (j, 1))])
-    if check_factorization(_graph(), part):
-        raise RuntimeError(f"type II part fails verification: {context}")
-    return part
 
 
 def _type2_grids(
@@ -374,11 +305,39 @@ def _type2_family(
     chords: tuple[EBlock, EBlock, EBlock, EBlock],
     primed: bool,
 ) -> tuple[Perm, ...]:
-    """The plain family {A1, A2, A3', A4'} or the primed {A1', A2', A3, A4}."""
+    """The plain family {A1, A2, A3', A4'} or the primed {A1', A2', A3, A4},
+    completed by the S2 pair that covers the residual they leave.
+
+    The residual is an invertible block at each position of the cycle and of
+    its inverse, the co-pair of any family cell there.  A chord parity is 0
+    for a diagonal chord, 1 for an antidiagonal one, flipped in the primed
+    family.  Parity 0 at (1, j) gives M1 the whole blocks at (1, i), (j, k)
+    and M2 those at (1, k), (j, i), and the walk splits block rows i and k
+    between them; parity 1 swaps the roles of block rows 1, j and i, k.  The
+    walk's seed row is 2 when the parities at (1, j) and (j, 1) agree, else 1.
+    """
     a1, a2, a3, a4, a1p, a2p, a3p, a4p = _type2_grids(cycle, chords)
     grids = (a1p, a2p, a3, a4) if primed else (a1, a2, a3p, a4p)
     ctx = f"cycle={cycle} chords={chords} {'primed' if primed else 'plain'}"
-    return _complete_family(grids, cycle, ctx)
+    members = tuple(_type2_member(g, ctx) for g in grids)
+    _, i, j, k = cycle
+    used = {pos: blk for g in grids for pos, blk in g.items()}
+    p1, p2 = ((chords[n] in (E12, E21)) ^ primed for n in (0, 1))
+    # whole residual blocks of M1, then of M2, and the ring the walk splits
+    if p1:
+        wholes, ring = ((i, j), (k, 1), (i, 1), (k, j)), ((1, k), (1, i), (j, i), (j, k))
+    else:
+        wholes, ring = ((1, i), (j, k), (1, k), (j, i)), ((i, j), (i, 1), (k, 1), (k, j))
+    m1, m2 = ({pos: _co_invertible(used[pos]) for pos in half} for half in (wholes[:2], wholes[2:]))
+    if not _walk(used, ring, (m1, m2, m1, m2), 2 if p1 == p2 else 1):
+        raise RuntimeError(f"S2 chain failed to close: {ctx}")
+    pair = sorted((_grid_perm(m1), _grid_perm(m2)))
+    if any(_labels().get(m) != "S2" for m in pair):
+        raise RuntimeError(f"residual pair not in S2: {ctx}")
+    part = (*members, *pair)
+    if check_factorization(_graph(), part):
+        raise RuntimeError(f"type II part fails verification: {ctx}")
+    return part
 
 
 def type2_families(
@@ -392,10 +351,10 @@ def type2_families(
     (i, k), and their remaining blocks are forced by row/column sums.  With
     A2 = complement(A1), A3/A4 = row/column-swapped A2 and likewise primed,
     the mixed families {A1, A2, A3', A4'} and {A1', A2', A3, A4} each leave a
-    residual of invertible blocks on the cycle plus its inverse.  Four S2
-    pairs decompose such a residual; _complete_family picks the one keyed by
-    the chord parities at (1, j) and (j, 1), which is what lets the selected
-    pairs cover S2 without repeats across the whole sweep.
+    residual of invertible blocks on the cycle plus its inverse.  The S2
+    pair that covers it follows from the chord parities at (1, j) and (j, 1)
+    (see _type2_family), which is what lets the pairs cover S2 without
+    repeats across the whole sweep.
     """
     return (
         _type2_family(cycle, chords, primed=False),

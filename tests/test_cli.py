@@ -373,6 +373,9 @@ def test_search_usage_errors(circulant_file, tmp_path):
     usage_error("search", "--target", "l99")
     usage_error("search", "--target", "l41", "--matrix", circulant_file)
     usage_error("search", "--matrix", str(tmp_path / "no-such-file.txt"))
+    out = tmp_path / "all.json"
+    usage_error("search", "--target", "l41", "--all", "--out", str(out))
+    assert not out.exists()
 
 
 def test_check_extendability(run):

@@ -14,7 +14,6 @@ from perfpart.construct_l82 import (
     E_BLOCKS,
     FLIP_SETS,
     ZERO_PATTERNS,
-    ZeroPattern,
     _labels,
     _residual_pairs,
     _type2_member,
@@ -88,13 +87,14 @@ def test_e_block_helpers():
 
 
 def test_zero_pattern_validation():
-    assert len(ZERO_PATTERNS) == 3
-    with pytest.raises(ValueError):
-        ZeroPattern(2, 4, 3)  # j > k
-    with pytest.raises(ValueError):
-        ZeroPattern(1, 2, 3)  # 1 is implicit, not a free index
-    with pytest.raises(ValueError):
-        ZeroPattern(2, 2, 4)
+    assert ZERO_PATTERNS == ((2, 3, 4), (3, 2, 4), (4, 2, 3))
+    free = (E11, E11, E11, E11)
+    with pytest.raises(ValueError, match=r"bad zero pattern \(1 2\)\(4 3\)"):
+        type1_part((2, 4, 3), free)  # j > k
+    with pytest.raises(ValueError, match="bad zero pattern"):
+        type1_part((1, 2, 3), free)  # 1 is implicit, not a free index
+    with pytest.raises(ValueError, match="bad zero pattern"):
+        type1_part((2, 2, 4), free)
 
 
 def test_type1_part_structure():
@@ -110,7 +110,7 @@ def test_type1_part_structure():
         for m in part[2:]:
             assert label_l82(m) == "S1"
         # P and Q share the zero pattern and complement each other blockwise
-        i, j, k = pattern.i, pattern.j, pattern.k
+        i, j, k = pattern
         assert zero_blocks(part[0]) == zero_blocks(part[1])
         assert set(zero_blocks(part[0])) == {(1, i), (i, 1), (j, k), (k, j)}
         for pos in ((1, j), (i, k), (j, 1), (k, i)):
@@ -125,7 +125,7 @@ def test_type1_rebuild_from_stored_blocks(type1_parts):
         zeros = set(zero_blocks(part[0]))
         i = next(b for (a, b) in zeros if a == 1)
         j, k = sorted({2, 3, 4} - {i})
-        pattern = ZeroPattern(i, j, k)
+        pattern = (i, j, k)
         assert pattern in ZERO_PATTERNS
         free = tuple(grid_block(part[0], pos) for pos in ((1, j), (i, k), (j, 1), (k, i)))
         assert free[0] in (E11, E12)
@@ -227,9 +227,10 @@ def test_full_build(l82_cert):
 
 @pytest.fixture(scope="module")
 def type2_sweep():
-    """(chords, family role, sorted part) for all 1536 raw type-II families."""
+    """(cycle, chords, family role, sorted part) for all 1536 raw type-II
+    families."""
     return [
-        (chords, role, tuple(sorted(fam)))
+        (cycle, chords, role, tuple(sorted(fam)))
         for cycle in CYCLE_REPS
         for chords in product(E_BLOCKS, repeat=4)
         for role, fam in zip(("plain", "primed"), type2_families(cycle, chords))
@@ -244,7 +245,7 @@ def test_type2_choice_is_intrinsic_to_the_member_set(type2_parts, type2_sweep):
     global S2 cover would double up.
     """
     by_s0 = {}
-    for _, _, part in type2_sweep:
+    for *_, part in type2_sweep:
         key = tuple(m for m in part if label_l82(m) == "S0")
         by_s0.setdefault(key, set()).add(part)
     assert len(by_s0) == 384
@@ -254,14 +255,45 @@ def test_type2_choice_is_intrinsic_to_the_member_set(type2_parts, type2_sweep):
 
 def test_type2_sweep_builds_each_part_four_times(type2_parts, type2_sweep):
     assert len(type2_sweep) == 1536
-    assert set(Counter(part for _, _, part in type2_sweep).values()) == {4}
+    assert set(Counter(part for *_, part in type2_sweep).values()) == {4}
 
     canonical = Counter(
-        part for chords, role, part in type2_sweep
+        part for _, chords, role, part in type2_sweep
         if role == "plain" and chords[0] in (E11, E12)
     )
     assert len(canonical) == 384 and set(canonical.values()) == {1}
     assert sorted(canonical) == type2_parts
+
+
+def test_type2_pairs_come_from_the_residual_decompositions(type2_sweep):
+    """The S2 pair the parity rule builds is the one a search would pick.
+
+    The residual search finds four (S2, S2) decompositions, two in each row
+    class (invertible blocks in block row 1 or not).  The pick: the class in
+    block row 1 if the two members with a zero block at (1, i) hold a
+    diagonal pair at (1, j), and the first of the class, sorted, if they hold
+    a diagonal pair at (j, 1), else the second.
+    """
+    for cycle, chords, role, part in type2_sweep:
+        members = tuple(m for m in part if label_l82(m) == "S0")
+        own = tuple(m for m in part if label_l82(m) == "S2")
+        _, i, j, _ = cycle
+        cycle_zero = [m for m in members if (1, i) in zero_blocks(m)]
+        assert len(cycle_zero) == 2
+        diagonal = [
+            {grid_block(m, pos) for m in cycle_zero} == {E11, E22} for pos in ((1, j), (j, 1))
+        ]
+        by_label = {}
+        for pr in _residual_pairs(members):
+            by_label.setdefault(tuple(map(block_label, pr)), []).append(pr)
+        assert {lab: len(prs) for lab, prs in by_label.items()} == {
+            ("S0_1", "S0_1"): 2, ("S2", "S2"): 4, ("S4", "S4"): 2
+        }, (chords, role)
+        pairs = by_label["S2", "S2"]
+        top = [any(a == 1 for m in pr for a, _ in invertible_blocks(m)) for pr in pairs]
+        assert top.count(True) == top.count(False) == 2, (chords, role)
+        row_class = sorted(pr for pr, t in zip(pairs, top) if t == diagonal[0])
+        assert own == row_class[0 if diagonal[1] else 1], (cycle, chords, role)
 
 
 def test_residual_pairs_match_a_brute_force_oracle():
