@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph_model import GraphSpec, degree, l_graph
+from .graph_model import GraphSpec, l_graph
 from .matchings import classify_l61, enumerate_matchings, label_l61
 from .perm_core import Perm, cycles_of, from_cycle_tuples, inverse, to_cycles
-from .search import edge_masks, exact_cover
 from .verifier import PartitionCertificate, check_factorization, make_certificate
 
 N = 6
@@ -227,36 +226,27 @@ def build_t1() -> list[tuple[Perm, ...]]:
 def build_t3(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
     """3 parts: the axis zone's C24 members grouped around the (1 y0) anchors.
 
-    Each of the three C222 elements containing the 2-cycle (1 y0), taken in
-    ascending order, is completed to a factorization by an exact cover of
-    the edges with the anchor forced and four of the still unused C24
-    elements; the first cover in ascending order is kept.  The grouping is
-    forced (each anchor has exactly one completing 4-set), and every part
-    passes check_factorization before it is committed.
+    An axis-zone member e = (1 t x u)(y0 v) differs in every row from the
+    C222 element (1 y0)(x v)(t u) and shares a row with each of the other
+    two C222 elements containing (1 y0), so it fits that one anchor only.
+    Each anchor, in ascending order, takes the four members that fit it, in
+    ascending order; every part passes check_factorization before it is
+    committed.
     """
     if zone.y != y0:
         raise ValueError(f"zone is for class {zone.y}, not the axis {y0}")
-    spec = _graph()
-    n_edges = spec.n * degree(spec)
-    remaining = sorted(zone.quads)
+    groups: dict[Perm, list[Perm]] = {}
+    for e in sorted(zone.quads):
+        t, x = e[0], e[e[0] - 1]
+        anchor = from_cycle_tuples([(1, y0), (x, e[y0 - 1]), (t, e[x - 1])], N)
+        groups.setdefault(anchor, []).append(e)
     anchors = sorted(p for p in _classes()["C222"] if (1, y0) in cycles_of(p))
-    assert len(anchors) == 3 and len(remaining) == 12
+    assert sorted(groups) == anchors and {len(g) for g in groups.values()} == {4}
 
-    parts: list[tuple[Perm, ...]] = []
-    for mu in anchors:
-        rows = [mu, *remaining]
-        cover = next(exact_cover(n_edges, edge_masks(spec, rows), forced=(0,)), None)
-        if cover is None:
-            raise RuntimeError(
-                f"no grouping of the zone-{y0} C24 members around the three "
-                f"(1 {y0}) anchors yields factorizations"
-            )
-        part = tuple(rows[i] for i in cover)
-        if check_factorization(spec, part):
-            raise RuntimeError(f"t3 part around {to_cycles(mu)} fails verification")
-        parts.append(part)
-        remaining = [q for q in remaining if q not in part]
-    assert not remaining
+    parts = [(mu, *groups[mu]) for mu in anchors]
+    for part in parts:
+        if check_factorization(_graph(), part):
+            raise RuntimeError(f"t3 part around {to_cycles(part[0])} fails verification")
     return parts
 
 

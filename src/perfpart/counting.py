@@ -62,6 +62,13 @@ def count_matchings(r: int, m: int | None = None, n: int | None = None) -> int:
     )
 
 
+def closed_count(spec: GraphSpec) -> int | None:
+    """The matching count of an L graph by its closed form; None for a matrix."""
+    if spec.kind == "L" and spec.r is not None:
+        return count_matchings(spec.r, spec.m, n=spec.n)
+    return None
+
+
 def count_up_to(spec: GraphSpec, limit: int) -> int:
     """The matching count of a graph, exact whenever it is at most limit.
 
@@ -70,9 +77,10 @@ def count_up_to(spec: GraphSpec, limit: int) -> int:
     that costs about as much as listing limit matchings, where Ryser's
     permanent would cost 2^n whatever the limit.
     """
-    if spec.kind == "L" and spec.r is not None:
-        return count_matchings(spec.r, spec.m, n=spec.n)
-    return sum(1 for _ in islice(enumerate_matchings(spec), limit + 1))
+    total = closed_count(spec)
+    if total is None:
+        total = sum(1 for _ in islice(enumerate_matchings(spec), limit + 1))
+    return total
 
 
 def ryser_permanent(rows: Sequence[int], n: int | None = None) -> int:
@@ -149,14 +157,9 @@ def necessary_condition(spec: GraphSpec, oracle: bool = False) -> CountReport:
     the adjacency matrix (always used for explicit matrices).
     """
     d = degree(spec)
-    if spec.kind == "L" and spec.r is not None:
-        rook = count_matchings(spec.r, spec.m, n=spec.n)
-        perm = permanent_of_spec(spec) if oracle else None
-        count = rook
-    else:
-        rook = None
-        perm = permanent_of_spec(spec)
-        count = perm
+    rook = closed_count(spec)
+    perm = permanent_of_spec(spec) if oracle or rook is None else None
+    count = perm if rook is None else rook
     if d == 0:
         divisible = count == 0
     else:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice
 
-from .counting import count_matchings, count_up_to
+from .counting import closed_count, count_up_to
 from .graph_model import GraphSpec, degree, from_matrix, is_matching, l_graph, row_strings
 from .matchings import enumerate_matchings
 from .perm_core import Perm, is_permutation
@@ -176,13 +176,6 @@ class PartitionReport:
         )
 
 
-def _closed_count(spec: GraphSpec) -> int | None:
-    """The matching count of an L graph by its closed form; None for a matrix."""
-    if spec.kind == "L" and spec.r is not None:
-        return count_matchings(spec.r, spec.m, n=spec.n)
-    return None
-
-
 # A failed completeness claim names at most this many missing matchings.
 MISSING_NAMED = 100
 
@@ -201,7 +194,7 @@ def _completeness_violations(spec: GraphSpec, have: set[Perm]) -> list[Violation
     )
     out = [Violation("missing", f"matching {list(p)} uncovered") for p in missing]
     if len(out) > MISSING_NAMED:
-        total = _closed_count(spec)
+        total = closed_count(spec)
         covered = len(have) - len(extra)
         count = "" if total is None else f"{total - covered - MISSING_NAMED} "
         out[MISSING_NAMED] = Violation(
@@ -293,13 +286,24 @@ def graph_to_json(spec: GraphSpec) -> dict:
     return {"kind": "matrix", "rows": row_strings(spec)}
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: int() would coerce floats and
+    strings, and bool is an int."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def graph_from_json(obj: dict, n: int) -> GraphSpec:
+    if not isinstance(obj, dict):
+        raise TypeError(f"graph must be an object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "L":
-        r = obj["r"]
+        r = _json_int(obj, "r")
         if r == 0:
             return l_graph(0, n=n)
-        return l_graph(r, obj["m"])
+        return l_graph(r, _json_int(obj, "m"))
     if kind == "matrix":
         return from_matrix(obj["rows"])
     raise ValueError(f"unknown graph kind {kind!r}")
@@ -321,13 +325,14 @@ def _images(parts):
 
 def certificate_from_json(obj: dict) -> PartitionCertificate:
     try:
-        n = obj["n"]
+        n = _json_int(obj, "n")
         graph = graph_from_json(obj["graph"], n)
+        stored_degree = _json_int(obj, "degree")
         complete = obj["complete"]
         if not isinstance(complete, bool):
             raise ValueError(f"complete must be true or false, not {complete!r}")
         parts = tuple(tuple(map(tuple, part)) for part in obj["parts"])
-        # exact types: int() would coerce floats and strings, and bool is an int
+        # exact types, as _json_int requires of the header numbers
         if not set(map(type, _images(parts))) <= {int}:
             bad = next(x for x in _images(parts) if type(x) is not int)
             raise TypeError(f"{type(bad).__name__!r} object cannot be interpreted as an integer")
@@ -335,9 +340,9 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
         raise ValueError(f"not a certificate: {exc}") from exc
     if graph.n != n:
         raise ValueError(f"stored n={n} contradicts graph size {graph.n}")
-    if obj.get("degree") != degree(graph):
+    if stored_degree != degree(graph):
         raise ValueError(
-            f"stored degree {obj.get('degree')!r} contradicts graph degree {degree(graph)}"
+            f"stored degree {stored_degree} contradicts graph degree {degree(graph)}"
         )
     return PartitionCertificate(graph=graph, complete=complete, parts=parts)
 

@@ -245,23 +245,25 @@ def test_build_l61_rejects_bad_axis():
 
 
 def test_every_t3_anchor_has_exactly_one_completing_cover(l61_classes):
-    """build_t3 keeps the first exact cover per anchor; over every axis, seed
-    and pattern that build_l61 accepts, that cover is the only one, so the
-    grouping does not depend on the order the anchors are taken in."""
+    """Over every axis, seed and pattern that build_l61 accepts, each (1 y0)
+    anchor has exactly one exact cover by four axis-zone C24 members, and
+    build_t3's grouping by the anchor each member fits is those covers."""
     spec = l_graph(1, 6)
     inputs = 0
     for y0 in range(2, 7):
         anchors = sorted(p for p in l61_classes["C222"] if (1, y0) in cycles_of(p))
         for rep in c33_reps(l61_classes):
             for beta in patterns_of(rep):
-                quads = sorted(linked_zones(beta)[y0].quads)
-                used = []
+                zone = linked_zones(beta)[y0]
+                quads = sorted(zone.quads)
+                parts = []
                 for mu in anchors:
                     rows = [mu, *quads]
                     covers = list(exact_cover(30, edge_masks(spec, rows), forced=(0,)))
                     assert len(covers) == 1
-                    used.extend(rows[i] for i in covers[0][1:])
-                assert sorted(used) == quads
+                    parts.append(tuple(rows[i] for i in covers[0]))
+                assert sorted(e for part in parts for e in part[1:]) == quads
+                assert build_t3(y0, zone) == parts
                 inputs += 1
     assert inputs == 200
 

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from perfpart.counting import (
+    closed_count,
     count_matchings,
     necessary_condition,
     permanent_of_spec,
@@ -124,14 +125,15 @@ def test_circulant_example_has_13_matchings():
     assert permanent_of_spec(g) == 13
     report = necessary_condition(g)
     assert report.count == 13 and report.oracle_count == 13
-    assert report.rook_count is None
+    assert report.rook_count is None and closed_count(g) is None
     assert report.degree == 3
     assert not report.divisible
 
 
 def test_necessary_condition_on_the_hole_family():
     report = necessary_condition(l_graph(1, 6))
-    assert report.rook_count == 265 and report.oracle_count is None
+    assert report.rook_count == closed_count(l_graph(1, 6)) == 265
+    assert report.oracle_count is None
     assert report.degree == 5 and report.divisible
     oracle = necessary_condition(l_graph(1, 6), oracle=True)
     assert oracle.oracle_count == 265

@@ -422,6 +422,18 @@ def test_json_rejects_corruption(l61_cert):
             certificate_from_json({**obj, "parts": [bad, *obj["parts"][1:]]})
     with pytest.raises(ValueError, match="complete must be true or false"):
         certificate_from_json({**obj, "complete": "false"})
+    # header numbers are exact integers too (6.0 == 6 and True == 1); the graph is an object
+    for bad in (
+        {"n": 6.0},
+        {"degree": 5.0},
+        {"graph": {"kind": "L", "r": True, "m": 6}},
+        {"graph": {"kind": "L", "r": 1, "m": 6.0}},
+        {"graph": {"kind": "L", "r": 1, "m": True}},
+        {"graph": {"kind": "L", "r": "1", "m": 6}},
+        {"graph": []},
+    ):
+        with pytest.raises(ValueError, match="not a certificate"):
+            certificate_from_json({**obj, **bad})
 
 
 def test_save_load_is_byte_stable(tmp_path, l61_cert):
