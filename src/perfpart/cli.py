@@ -230,7 +230,8 @@ def _cmd_construct(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     try:
         cert = load_certificate(args.file)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # json.load recurses once per nesting level, so deep [[[...]]] ends here
         error = f"unreadable certificate: {exc}"
         _emit(args, {"ok": False, "error": error}, [f"FAIL: {error}"], sort_keys=False)
         return 1

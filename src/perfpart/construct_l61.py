@@ -128,21 +128,15 @@ def _zone_rows(beta: Perm) -> set[Perm]:
     return {beta} | {from_cycle_tuples([(1, t, y), (x, prv, nxt)], N) for t, nxt, prv in steps}
 
 
-def propagate_zone(seed: Perm, beta: Perm) -> Zone:
-    """Grow the full zone of seed's class from one (representative, pattern) row.
+def propagate_zone(beta: Perm) -> Zone:
+    """Grow the full zone of pattern beta's class from its row, seeded by _rep(beta).
 
     Asserts the defining consistency conditions: re-seeding from any derived
     row reproduces the identical zone, and C24 members sharing a 2-cycle have
     4-cycle tails that are rotations of one another yet pairwise distinct as
     based words.
     """
-    if canonical_rep(seed) != seed:
-        raise ValueError(
-            f"seed must be the canonical representative, got {to_cycles(seed)}"
-        )
-    if _rep(beta) != seed:
-        raise ValueError(f"pattern {to_cycles(beta)} does not fit seed {to_cycles(seed)}")
-    y = class_of(seed)
+    y = class_of(_rep(beta))
     rows = _zone_rows(beta)
 
     for row in rows:
@@ -178,8 +172,8 @@ def linked_zones(beta: Perm) -> dict[int, Zone]:
     has class z.  The caller withholds the axis zone for build_t3/build_t4;
     all five are returned.
     """
-    seeded = propagate_zone(_rep(beta), beta)
-    linked = [propagate_zone(_rep(gamma), gamma) for gamma in map(inverse, seeded.rows)]
+    seeded = propagate_zone(beta)
+    linked = [propagate_zone(gamma) for gamma in map(inverse, seeded.rows)]
     zones = {zone.y: zone for zone in (seeded, *linked)}
     assert sorted(zones) == list(range(2, N + 1))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .graph_model import GraphSpec, from_matrix, l_graph
+from .graph_model import GraphSpec, l_graph
 from .matchings import classify_l82, enumerate_matchings
 from .perm_core import Perm, is_permutation
 from .tables import l41_table
@@ -258,7 +258,7 @@ def _residual_pairs(members: tuple[Perm, ...]) -> list[tuple[Perm, Perm]]:
             rows[row] ^= 1 << (img - 1)
     assert all(r.bit_count() == 2 for r in rows)
     pairs = []
-    for b1 in enumerate_matchings(from_matrix(rows)):
+    for b1 in enumerate_matchings(GraphSpec(rows=tuple(rows), kind="matrix")):
         b2 = tuple((r ^ 1 << (x - 1)).bit_length() for r, x in zip(rows, b1))
         assert is_permutation(b2, N)
         if b1 < b2:

@@ -83,16 +83,13 @@ def count_up_to(spec: GraphSpec, limit: int) -> int:
     return total
 
 
-def ryser_permanent(rows: Sequence[int], n: int | None = None) -> int:
-    """Permanent of a 0/1 matrix given as row bitmasks, by Ryser's formula.
+def ryser_permanent(rows: Sequence[int]) -> int:
+    """Permanent of the n x n 0/1 matrix given as its n row bitmasks, by Ryser's formula.
 
     Gray-code iteration over column subsets keeps each step to one column
     update.  Exponential in n; intended for n <= 30.
     """
-    if n is None:
-        n = len(rows)
-    if len(rows) != n:
-        raise ValueError("row count must equal n")
+    n = len(rows)
     if n == 0:
         return 1
     # cols[j] = bitmask of rows with a 1 in column j
@@ -126,7 +123,7 @@ def ryser_permanent(rows: Sequence[int], n: int | None = None) -> int:
 
 
 def permanent_of_spec(spec: GraphSpec) -> int:
-    return ryser_permanent(spec.rows, spec.n)
+    return ryser_permanent(spec.rows)
 
 
 @dataclass(frozen=True)

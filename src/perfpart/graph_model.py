@@ -12,15 +12,9 @@ which caps n at 64; everything here is far below that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .perm_core import Perm, is_permutation
-
-Block = tuple[tuple[int, int], tuple[int, int]]
-
-I2: Block = ((1, 0), (0, 1))
-R2: Block = ((0, 1), (1, 0))
-O2: Block = ((0, 0), (0, 0))
 
 MAX_N = 64
 
@@ -80,26 +74,18 @@ def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
     return GraphSpec(rows=tuple(rows), kind="L", r=r, m=None if r == 0 else m)
 
 
-def from_matrix(rows: Sequence[int] | Sequence[str] | Sequence[Sequence[int]]) -> GraphSpec:
-    """Build a spec from bitmask ints, '0101' strings, or 0/1 row sequences."""
+def from_matrix(rows: Sequence[str]) -> GraphSpec:
+    """Build a spec from a list of n rows of n '0'/'1' characters; column 1 is leftmost."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"rows must be a list of bitstrings, not {rows!r}")
     n = len(rows)
     if n == 0 or n > MAX_N:
         raise ValueError(f"need 1..{MAX_N} rows, got {n}")
     masks = []
     for row in rows:
-        if isinstance(row, int):
-            if row >> n:
-                raise ValueError("row mask has bits beyond column n")
-            masks.append(row)
-        elif isinstance(row, str):
-            if len(row) != n or set(row) - {"0", "1"}:
-                raise ValueError(f"bad bitstring row {row!r}")
-            masks.append(sum(1 << j for j, ch in enumerate(row) if ch == "1"))
-        else:
-            cells = list(row)
-            if len(cells) != n or any(c not in (0, 1) for c in cells):
-                raise ValueError("rows must be 0/1 and square")
-            masks.append(sum(1 << j for j, c in enumerate(cells) if c))
+        if not isinstance(row, str) or len(row) != n or set(row) - {"0", "1"}:
+            raise ValueError(f"bad bitstring row {row!r}")
+        masks.append(sum(1 << j for j, ch in enumerate(row) if ch == "1"))
     return GraphSpec(rows=tuple(masks), kind="matrix")
 
 
@@ -131,33 +117,8 @@ def is_matching(spec: GraphSpec, p: Sequence[int]) -> bool:
     return all(spec.adjacency(i, x) for i, x in enumerate(p, start=1))
 
 
-def block_view(p: Perm) -> tuple[tuple[Block, ...], ...]:
-    """The 4x4 block matrix of 2x2 cells for a degree-8 permutation.
-
-    Tests use it as the reference for invertible_blocks and zero_blocks,
-    which read the same cells straight from the images.
-    """
-    if len(p) != 8:
-        raise ValueError("block view is defined for n = 8")
-    mat = [[0] * 8 for _ in range(8)]
-    for i, x in enumerate(p, start=1):
-        mat[i - 1][x - 1] = 1
-    out = []
-    for bi in range(4):
-        row = []
-        for bj in range(4):
-            row.append(
-                (
-                    (mat[2 * bi][2 * bj], mat[2 * bi][2 * bj + 1]),
-                    (mat[2 * bi + 1][2 * bj], mat[2 * bi + 1][2 * bj + 1]),
-                )
-            )
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def invertible_blocks(p: Perm) -> list[tuple[int, int]]:
-    """1-based block positions whose 2x2 cell is I2 or R2.
+    """1-based block positions whose 2x2 cell is invertible: identity or reversal.
 
     Read from the images: block row bi's two images land in blocks
     (p[2bi] - 1) >> 1 and (p[2bi + 1] - 1) >> 1, and the cell is invertible

@@ -325,6 +325,20 @@ def test_verify_rejects_a_boolean_image(run, tmp_path):
     )
 
 
+def test_verify_deeply_nested_json_is_unreadable(run, tmp_path):
+    """json.load recurses per nesting level; 100,000 levels once ended in a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run("verify", str(path))
+    assert code == 1 and out.startswith("FAIL: unreadable certificate: ")
+    assert len(out.splitlines()) == 1
+    code, out = run("verify", "--json", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert list(report) == ["ok", "error"] and report["ok"] is False
+    assert report["error"].startswith("unreadable certificate: ")
+
+
 def test_search_target_found(run, tmp_path):
     out_path = str(tmp_path / "l41.json")
     code, out = run("search", "--target", "l41", "--out", out_path)

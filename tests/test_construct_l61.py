@@ -114,16 +114,16 @@ def test_t1_matches_table():
 
 def test_zone_reseeding_reproduces_the_zone():
     zone = default_zones()[class_of(DEFAULT_SEED)]
-    for (rep, *_), beta in zip(zone.subsets, zone.rows):
-        assert propagate_zone(rep, beta) == zone
+    for beta in zone.rows:
+        assert propagate_zone(beta) == zone
 
 
 def test_propagate_zone_validation():
-    with pytest.raises(ValueError, match="canonical"):
-        propagate_zone(inverse(DEFAULT_SEED), DEFAULT_PATTERN)
-    other = canonical_rep(parse_cycles("(1 2 3)(4 5 6)", 6))
-    with pytest.raises(ValueError, match="does not fit"):
-        propagate_zone(other, DEFAULT_PATTERN)
+    assert propagate_zone(DEFAULT_PATTERN).y == class_of(DEFAULT_SEED)
+    other = parse_cycles("(1 2 3)(4 5 6)", 6)
+    assert propagate_zone(other).y == class_of(other) != class_of(DEFAULT_SEED)
+    with pytest.raises(ValueError, match="double 3-cycle"):
+        propagate_zone(parse_cycles("(1 3 2 4 6 5)", 6))
 
 
 def test_linked_zones_cover_c33_and_c24_disjointly(l61_classes):

@@ -25,7 +25,8 @@ from perfpart.construct_l82 import (
     type2_families,
     type2_literal_diagnostic,
 )
-from perfpart.graph_model import block_view, invertible_blocks, l_graph, zero_blocks
+from blocks import block_view
+from perfpart.graph_model import invertible_blocks, l_graph, zero_blocks
 from perfpart.matchings import enumerate_matchings, has_transposition_zero_pattern, label_l82
 from perfpart.verifier import check_factorization, check_partition
 

@@ -1,14 +1,11 @@
-"""Graph specs: the hole family, explicit matrices, and the 2x2 block view."""
+"""Graph specs: the hole family, explicit matrices, and the 2x2 block kernels."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blocks import I2, O2, R2, block_view
 from perfpart.graph_model import (
-    I2,
-    O2,
-    R2,
-    block_view,
     degree,
     from_matrix,
     invertible_blocks,
@@ -59,15 +56,12 @@ def test_l_graph_rejects_bad_parameters():
         l_graph(1, 65)
 
 
-def test_from_matrix_accepts_three_row_encodings():
+def test_from_matrix_reads_bitstring_rows():
     g = l_graph(2, 2)
-    as_strings = from_matrix(row_strings(g))
-    as_masks = from_matrix(list(g.rows))
-    as_cells = from_matrix(
-        [[1 if g.adjacency(i, j) else 0 for j in range(1, 5)] for i in range(1, 5)]
-    )
-    assert as_strings.rows == as_masks.rows == as_cells.rows == g.rows
-    assert as_strings.kind == "matrix" and as_strings.r is None
+    spec = from_matrix(row_strings(g))
+    assert spec.rows == g.rows
+    assert spec.kind == "matrix" and spec.r is None
+    assert from_matrix(("10", "01")).rows == (0b01, 0b10)
 
 
 def test_row_strings_round_trip():
@@ -82,10 +76,12 @@ def test_from_matrix_rejects_malformed():
         from_matrix(["01", "2x"])
     with pytest.raises(ValueError, match="bitstring"):
         from_matrix(["011", "101", "110x"])
-    with pytest.raises(ValueError, match="beyond"):
-        from_matrix([4, 1])
-    with pytest.raises(ValueError, match="0/1"):
-        from_matrix([[0, 2], [1, 0]])
+    # rows are '0'/'1' strings only: masks, cell lists and JSON numbers are not
+    for rows in (
+        [4, 1], [1, 2], [True, 2], [[0, 1], [1, 0]], [[1.0, 0], [0, True]], [b"01", b"10"],
+    ):
+        with pytest.raises(ValueError, match="bitstring"):
+            from_matrix(rows)
 
 
 def test_degree_requires_regularity():

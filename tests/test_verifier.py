@@ -258,7 +258,9 @@ def block_diagonal_parts(blocks):
     its flip in every block.
     """
     n = 2 * blocks
-    graph = from_matrix([0b11 << (2 * (i // 2)) for i in range(n)])
+    graph = from_matrix(
+        ["".join("1" if j // 2 == i // 2 else "0" for j in range(n)) for i in range(n)]
+    )
 
     def matching(bits):
         images = []
@@ -434,6 +436,15 @@ def test_json_rejects_corruption(l61_cert):
     ):
         with pytest.raises(ValueError, match="not a certificate"):
             certificate_from_json({**obj, **bad})
+    # matrix rows are '0'/'1' strings: numbers, booleans and cell lists once
+    # read as bitmasks or cells and passed
+    k22 = certificate_to_json(
+        make_certificate(from_matrix(["11", "11"]), [[(1, 2), (2, 1)]], complete=True)
+    )
+    assert certificate_from_json(k22).graph.rows == (0b11, 0b11)
+    for rows in ([[1.0, 0], [0, True]], [1, 2], [True, 2], [[1.0, 1], [1, 1]], "1"):
+        with pytest.raises(ValueError, match="not a certificate"):
+            certificate_from_json({**k22, "graph": {"kind": "matrix", "rows": rows}})
 
 
 def test_save_load_is_byte_stable(tmp_path, l61_cert):
