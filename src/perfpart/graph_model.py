@@ -11,12 +11,24 @@ which caps n at 64; everything here is far below that.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .perm_core import Perm, is_permutation
 
 MAX_N = 64
+
+
+def short_repr(value: object) -> str:
+    """repr of a value from outside the program, cut to at most 60 characters.
+
+    Error messages echo bad input through this, so that a large bad value
+    still gives a one-line message of bounded length.  reprlib stops at depth
+    6 and at the first few items of each container, so the cost is bounded too.
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
             raise ValueError(f"n={n} contradicts r*m={r * m}")
         size = r * m
     if size > MAX_N:
-        raise ValueError(f"n={size} exceeds the bitset bound {MAX_N}")
+        raise ValueError(f"n={short_repr(size)} exceeds the bitset bound {MAX_N}")
     full = (1 << size) - 1
     rows = []
     for i in range(size):
@@ -77,14 +89,14 @@ def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
 def from_matrix(rows: Sequence[str]) -> GraphSpec:
     """Build a spec from a list of n rows of n '0'/'1' characters; column 1 is leftmost."""
     if not isinstance(rows, (list, tuple)):
-        raise ValueError(f"rows must be a list of bitstrings, not {rows!r}")
+        raise ValueError(f"rows must be a list of bitstrings, not {short_repr(rows)}")
     n = len(rows)
     if n == 0 or n > MAX_N:
         raise ValueError(f"need 1..{MAX_N} rows, got {n}")
     masks = []
     for row in rows:
         if not isinstance(row, str) or len(row) != n or set(row) - {"0", "1"}:
-            raise ValueError(f"bad bitstring row {row!r}")
+            raise ValueError(f"bad bitstring row {short_repr(row)}")
         masks.append(sum(1 << j for j, ch in enumerate(row) if ch == "1"))
     return GraphSpec(rows=tuple(masks), kind="matrix")
 

@@ -9,9 +9,9 @@ symmetry without losing completeness.
 
 Both levels run on one CoverIndex of the graph's matchings, built once per
 search: the inner level covers edges with the rows still alive, and the outer
-level removes a placed part by clearing its rows from the alive bitset.  The
-outer level keeps its parts on an explicit stack, because a graph can need
-thousands of them.
+level removes a placed part by clearing its rows from the alive bitset.  Both
+levels keep their path on an explicit stack rather than the Python call stack,
+because a graph can need thousands of parts and a cover thousands of rows.
 
 Everything is deterministic: matchings are taken in lexicographic order and
 candidates are tried in ascending index order.
@@ -33,22 +33,24 @@ class SearchBudgetExceeded(Exception):
 class CoverIndex:
     """Exact-cover index over a fixed list of rows, built once and shared.
 
-    rows are column bitmasks.  col_rows[c] is the bitset of rows that cover
-    column c, so at a search node the candidates for c are col_rows[c] & alive,
-    where alive is the bitset of rows still disjoint from everything chosen.
-    This is the bitset form of Knuth's Dancing Links: removing a row and all
-    rows that clash with it is one AND with a complement, and undoing it is
-    free because each node keeps its own alive set.
+    rows are column bitmasks.  cols[c] is (1 << c, the bitset of rows that
+    cover column c), so at a search node the candidates for c are that bitset
+    & alive, where alive is the bitset of rows still disjoint from everything
+    chosen.  keep[idx] is the complement of the rows sharing a column with row
+    idx (idx included), so choosing a row is one AND of alive with keep[idx];
+    keep costs about len(rows)**2 / 8 bytes.  This is the bitset form of
+    Knuth's Dancing Links: undoing a choice is free because each node keeps
+    its own alive set.
     """
 
-    __slots__ = ("rows", "full", "col_rows", "row_cols", "all_rows")
+    __slots__ = ("rows", "full", "all_rows", "keep", "cols")
 
     def __init__(self, n_cols: int, rows: Sequence[int]) -> None:
         self.rows = list(rows)
         self.full = (1 << n_cols) - 1
         self.all_rows = (1 << len(self.rows)) - 1
-        self.col_rows = [0] * n_cols
-        self.row_cols: list[tuple[int, ...]] = []
+        col_rows = [0] * n_cols
+        row_cols = []
         for idx, mask in enumerate(self.rows):
             cols = []
             m = mask
@@ -57,15 +59,15 @@ class CoverIndex:
                 m ^= low
                 cols.append(low.bit_length() - 1)
             for col in cols:
-                self.col_rows[col] |= 1 << idx
-            self.row_cols.append(tuple(cols))
-
-    def clashes(self, idx: int) -> int:
-        """Bitset of the rows sharing a column with row idx (idx included)."""
-        out = 0
-        for col in self.row_cols[idx]:
-            out |= self.col_rows[col]
-        return out
+                col_rows[col] |= 1 << idx
+            row_cols.append(cols)
+        self.keep = []
+        for cols in row_cols:
+            clash = 0
+            for col in cols:
+                clash |= col_rows[col]
+            self.keep.append(~clash)
+        self.cols = tuple((1 << c, col) for c, col in enumerate(col_rows))
 
     def covers(
         self,
@@ -81,45 +83,57 @@ class CoverIndex:
         single-element mutable list of remaining search nodes shared with the
         caller; it raises SearchBudgetExceeded at zero.
         """
-        rows, full, col_rows = self.rows, self.full, self.col_rows
+        rows, full, keep, cols = self.rows, self.full, self.keep, self.cols
         covered = 0
         chosen = list(forced)
         for idx in forced:
             if rows[idx] & covered:
                 return
             covered |= rows[idx]
-            alive &= ~self.clashes(idx)
+            alive &= keep[idx]
 
-        def descend(covered: int, alive: int) -> Iterator[tuple[int, ...]]:
+        # Explicit DFS stack, one [covered, alive, untried candidates] entry
+        # per open node on the current path; the last len(stack) entries of
+        # chosen are the rows taken from them.  (covered, alive) is the node
+        # being entered.
+        no_best = len(rows) + 1
+        stack: list[list[int]] = []
+        while True:
             if budget is not None:
                 if budget[0] <= 0:
                     raise SearchBudgetExceeded
                 budget[0] -= 1
             if covered == full:
                 yield tuple(sorted(chosen))
-                return
-            best, best_n = 0, -1
-            rem = full & ~covered
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                cands = col_rows[low.bit_length() - 1] & alive
-                k = cands.bit_count()
-                if best_n < 0 or k < best_n:
-                    if not k:
-                        return
-                    best, best_n = cands, k
-                    if k == 1:
-                        break
-            while best:
-                low = best & -best
-                best ^= low
-                idx = low.bit_length() - 1
-                chosen.append(idx)
-                yield from descend(covered | rows[idx], alive & ~self.clashes(idx))
+            else:
+                best, best_n = 0, no_best
+                for bit, col in cols:
+                    if covered & bit:
+                        continue
+                    cands = col & alive
+                    k = cands.bit_count()
+                    if k < best_n:
+                        best, best_n = cands, k
+                        if k <= 1:
+                            break
+                if best:
+                    stack.append([covered, alive, best])
+                    chosen.append(-1)
+            while stack:
+                top = stack[-1]
+                untried = top[2]
+                if untried:
+                    low = untried & -untried
+                    top[2] = untried ^ low
+                    idx = low.bit_length() - 1
+                    chosen[-1] = idx
+                    covered = top[0] | rows[idx]
+                    alive = top[1] & keep[idx]
+                    break
+                stack.pop()
                 chosen.pop()
-
-        yield from descend(covered, alive)
+            else:
+                return
 
 
 def exact_cover(

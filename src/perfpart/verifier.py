@@ -18,7 +18,15 @@ from functools import lru_cache
 from itertools import chain, islice
 
 from .counting import closed_count, count_up_to
-from .graph_model import GraphSpec, degree, from_matrix, is_matching, l_graph, row_strings
+from .graph_model import (
+    GraphSpec,
+    degree,
+    from_matrix,
+    is_matching,
+    l_graph,
+    row_strings,
+    short_repr,
+)
 from .matchings import enumerate_matchings
 from .perm_core import Perm, is_permutation
 from .search import matching_index
@@ -291,13 +299,13 @@ def _json_int(obj: dict, key: str) -> int:
     strings, and bool is an int."""
     value = obj[key]
     if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, not {value!r}")
+        raise TypeError(f"{key} must be an integer, not {short_repr(value)}")
     return value
 
 
 def graph_from_json(obj: dict, n: int) -> GraphSpec:
     if not isinstance(obj, dict):
-        raise TypeError(f"graph must be an object, not {obj!r}")
+        raise TypeError(f"graph must be an object, not {short_repr(obj)}")
     kind = obj.get("kind")
     if kind == "L":
         r = _json_int(obj, "r")
@@ -306,7 +314,7 @@ def graph_from_json(obj: dict, n: int) -> GraphSpec:
         return l_graph(r, _json_int(obj, "m"))
     if kind == "matrix":
         return from_matrix(obj["rows"])
-    raise ValueError(f"unknown graph kind {kind!r}")
+    raise ValueError(f"unknown graph kind {short_repr(kind)}")
 
 
 def certificate_to_json(cert: PartitionCertificate) -> dict:
@@ -330,7 +338,7 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
         stored_degree = _json_int(obj, "degree")
         complete = obj["complete"]
         if not isinstance(complete, bool):
-            raise ValueError(f"complete must be true or false, not {complete!r}")
+            raise ValueError(f"complete must be true or false, not {short_repr(complete)}")
         parts = tuple(tuple(map(tuple, part)) for part in obj["parts"])
         # exact types, as _json_int requires of the header numbers
         if not set(map(type, _images(parts))) <= {int}:
@@ -339,10 +347,10 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a certificate: {exc}") from exc
     if graph.n != n:
-        raise ValueError(f"stored n={n} contradicts graph size {graph.n}")
+        raise ValueError(f"stored n={short_repr(n)} contradicts graph size {graph.n}")
     if stored_degree != degree(graph):
         raise ValueError(
-            f"stored degree {stored_degree} contradicts graph degree {degree(graph)}"
+            f"stored degree {short_repr(stored_degree)} contradicts graph degree {degree(graph)}"
         )
     return PartitionCertificate(graph=graph, complete=complete, parts=parts)
 

@@ -325,6 +325,30 @@ def test_verify_rejects_a_boolean_image(run, tmp_path):
     )
 
 
+K22_HEADER = '"n": 2, "degree": 2, "complete": true, "parts": [[[1, 2], [2, 1]]]'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"graph": {"kind": "matrix", "rows": ["11", %s]}, %s}'
+        % ("[" * 900 + "]" * 900, K22_HEADER),
+        '{"graph": {"kind": "matrix", "rows": ["11", "11"]}, %s}'
+        % K22_HEADER.replace('"n": 2', '"n": "%s"' % ("7" * 5000)),
+        '{"graph": {"kind": "L", "r": 0}, %s}'
+        % K22_HEADER.replace('"n": 2', '"n": 1%s' % ("0" * 4000)),
+    ],
+    ids=["nested-row", "long-string-n", "huge-n"],
+)
+def test_verify_echoes_a_large_bad_value_in_one_short_line(run, tmp_path, text):
+    """The error once echoed the whole repr of the bad value, thousands of bytes."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = run("verify", str(path))
+    assert code == 1 and out.startswith("FAIL: unreadable certificate: not a certificate")
+    assert len(out.splitlines()) == 1 and len(out.encode()) < 200
+
+
 def test_verify_deeply_nested_json_is_unreadable(run, tmp_path):
     """json.load recurses per nesting level; 100,000 levels once ended in a traceback."""
     path = tmp_path / "deep.json"

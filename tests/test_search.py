@@ -3,15 +3,18 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_cover import reference_covers
 
 from perfpart.counting import necessary_condition
-from perfpart.graph_model import from_matrix, l_graph
+from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
 from perfpart.search import (
+    CoverIndex,
     SearchBudgetExceeded,
+    edge_masks,
     exact_cover,
     find_factorizations,
     find_perfect_partition,
@@ -77,6 +80,61 @@ def brute_force_covers(n_cols, rows, forced):
 def test_exact_cover_matches_brute_force(instance):
     n_cols, rows, forced = instance
     assert set(exact_cover(n_cols, rows, forced)) == brute_force_covers(n_cols, rows, forced)
+
+
+def test_deep_cover_needs_no_recursion():
+    # one forced choice per column: the path is 1200 nodes deep
+    assert list(exact_cover(1200, [1 << k for k in range(1200)])) == [tuple(range(1200))]
+
+
+GRAPH_INSTANCES = [
+    (spec.n * degree(spec), edge_masks(spec, list(enumerate_matchings(spec))))
+    for spec in (l_graph(1, 5), from_matrix(["1111"] * 4))
+]
+
+
+@st.composite
+def search_instances(draw):
+    # matchings of two small graphs, whose columns tie on their candidate
+    # counts, or random rows of at most three columns
+    if draw(st.booleans()):
+        n_cols, rows = draw(st.sampled_from(GRAPH_INSTANCES))
+    else:
+        n_cols = draw(st.integers(1, 8))
+        row = st.lists(st.integers(0, n_cols - 1), max_size=3).map(
+            lambda cols: sum(1 << c for c in set(cols))
+        )
+        rows = draw(st.lists(row, max_size=16))
+    forced = ()
+    if rows:
+        forced = tuple(draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)))
+    alive = draw(st.integers(0, (1 << len(rows)) - 1))
+    budget = draw(st.none() | st.integers(0, 300))
+    return n_cols, rows, alive, forced, budget
+
+
+def search_trace(covers, budget):
+    # each cover with the budget left after it, then how the search ended
+    trace = []
+    try:
+        for cover in covers:
+            trace.append((cover, budget and budget[0]))
+    except SearchBudgetExceeded:
+        trace.append(("budget exceeded", budget[0]))
+    else:
+        trace.append(("done", budget and budget[0]))
+    return trace
+
+
+@settings(max_examples=300)
+@given(search_instances())
+def test_covers_walks_the_reference_tree(instance):
+    n_cols, rows, alive, forced, budget = instance
+    shared = None if budget is None else [budget]
+    got = search_trace(CoverIndex(n_cols, rows).covers(alive, forced, shared), shared)
+    shared = None if budget is None else [budget]
+    want = search_trace(reference_covers(n_cols, rows, alive, forced, shared), shared)
+    assert got == want
 
 
 def test_exact_cover_node_count_on_l61():
