@@ -43,11 +43,12 @@ GROUP_TARGETS = {"knn:": (knn_partition, 9), "l2nn:": (l2nn_partition, 6)}
 PERMANENT_MAX_N = 20
 
 # Most matchings a graph may have for enumerate, search and check, which list
-# them all before the first budgeted node.  check then searches once per
-# matching over bitsets as wide as the count, so its time grows with the count
-# squared: 0.4-0.6 s CPU on L(2, 4) (4,752 matchings), 1.7-3.0 s on L(3, 3)
-# (12,096) and 4.1-5.0 s on L(1, 8) (14,833), two runs each on a 2-CPU VM with
-# Python 3.11.  The exact-cover index keeps one clash bitset per matching,
+# them all before the first budgeted node.  check searches only matchings that
+# no 1-factorization found so far contains, about one in five on L(2, 4) and
+# L(3, 3) and one in six on L(1, 8), over bitsets as wide as the count: the CLI
+# took 0.17 s CPU on L(2, 4) (4,752 matchings), 0.51 s on L(3, 3) (12,096) and
+# 0.75 s on L(1, 8) (14,833), two runs each on a 2-CPU VM with Python 3.11.
+# The exact-cover index keeps one clash bitset per matching,
 # about count**2 / 8 bytes: 0.4 MB on L(1, 7), 18 MB on L(3, 3), 28 MB on
 # L(1, 8) and 50 MB at this bound; check's peak RSS on L(1, 8) is 49 MB.  On
 # K_{9,9} and K_{10,10} check and search --budget 10 were still listing

@@ -17,11 +17,19 @@ def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
     """Yield all perfect matchings as image tuples, lexicographically sorted."""
     n = spec.n
     rows = spec.rows
+    full = (1 << n) - 1
+    # reach[i]: the columns rows i.. have an edge to.  A branch whose unused
+    # columns are not all in reach[i] can complete no matching.
+    reach = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1] | rows[i]
     images = [0] * n
 
     def extend(i: int, used: int) -> Iterator[Perm]:
         if i == n:
             yield tuple(images)
+            return
+        if used | reach[i] != full:
             return
         free = rows[i] & ~used
         while free:

@@ -416,6 +416,22 @@ def test_search_usage_errors(circulant_file, tmp_path):
     assert not out.exists()
 
 
+def test_enumerate_ends_at_once_on_a_column_no_row_reaches(tmp_path):
+    # 14 rows with an all-zero last column: no matching, and 13! branches
+    # for an enumeration that does not prune the dead column
+    path = tmp_path / "dead-col.txt"
+    path.write_text("11111111111110\n" * 14)
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfpart.cli", "enumerate", "--matrix", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
+
+
 def test_check_extendability(run):
     code, out = run("check", "--r", "0", "--n", "3")
     assert code == 0

@@ -1,8 +1,12 @@
 """Matching enumeration and the two classification schemes."""
 
-import pytest
+from itertools import permutations
 
-from perfpart.graph_model import invertible_blocks, l_graph
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from perfpart.graph_model import from_matrix, invertible_blocks, l_graph
 from perfpart.matchings import (
     census_l61,
     census_l82,
@@ -25,6 +29,24 @@ def test_enumeration_is_sorted_and_exact():
 def test_enumeration_of_complete_graph():
     assert count_by_enumeration(l_graph(0, n=5)) == 120
     assert count_by_enumeration(l_graph(2, 1)) == 0
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 6))
+    row = st.text(alphabet="01", min_size=n, max_size=n)
+    return from_matrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@given(matrices())
+def test_enumeration_matches_brute_force(spec):
+    n = spec.n
+    want = [
+        p
+        for p in permutations(range(1, n + 1))
+        if all(spec.adjacency(i, x) for i, x in enumerate(p, start=1))
+    ]
+    assert list(enumerate_matchings(spec)) == want
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,13 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_extendability import reference_extendability
 
 from perfpart import verifier
 from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
-from perfpart.search import find_factorizations
+from perfpart.search import CoverIndex, edge_masks, find_factorizations
 from perfpart.tables import l41_table, t1_table
 from perfpart.verifier import PartitionCertificate
 from perfpart.verifier import (
@@ -469,3 +470,56 @@ def test_extendability_of_a_small_graph():
 def test_extendability_of_l24():
     report = check_extendability(l_graph(2, 4))
     assert report.total == 4752 and report.all_extendable
+
+
+@pytest.mark.parametrize(
+    "spec, searched, fallbacks",
+    [(l_graph(1, 6), 68, 21), (l_graph(0, n=6), 169, 61)],
+)
+def test_extendability_searches_only_unwitnessed_matchings(spec, searched, fallbacks):
+    report = check_extendability(spec)
+    assert report.all_extendable
+    assert (report.searched, report.fallbacks) == (searched, fallbacks)
+
+
+@st.composite
+def regular_graphs(draw):
+    """A d-regular bipartite graph on n <= 6: d shifted diagonals, rows and
+    columns relabelled."""
+    n = draw(st.integers(1, 6))
+    shifts = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    row_of = draw(st.permutations(range(n)))
+    col_of = draw(st.permutations(range(n)))
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for s in shifts:
+            rows[row_of[i]][col_of[(i + s) % n]] = "1"
+    return from_matrix(["".join(row) for row in rows])
+
+
+SMALL_REGULAR = [l_graph(1, 4), l_graph(3, 2), l_graph(2, 3), l_graph(0, n=4)]
+
+
+@given(st.sampled_from(SMALL_REGULAR) | regular_graphs())
+def test_extendability_matches_one_search_per_matching(spec):
+    report = check_extendability(spec)
+    want = reference_extendability(spec)
+    assert (report.total, report.blocked) == (want.total, want.blocked)
+    assert report.fallbacks <= report.searched <= report.total
+
+
+def test_extendability_reruns_a_missed_search_over_every_matching(monkeypatch):
+    # K_{3,3} has two 1-factorizations, the even and the odd permutations.
+    # Without (3 2 1) the two other odd ones are in none: each misses among
+    # the unwitnessed matchings, then again over all of them.
+    spec = l_graph(0, n=3)
+    kept = [p for p in enumerate_matchings(spec) if p != (3, 2, 1)]
+    monkeypatch.setattr(
+        verifier,
+        "matching_index",
+        lambda spec: (kept, CoverIndex(9, edge_masks(spec, kept))),
+    )
+    report = check_extendability(spec)
+    assert report.total == 5
+    assert report.blocked == [(1, 3, 2), (2, 1, 3)]
+    assert (report.searched, report.fallbacks) == (3, 2)
