@@ -14,7 +14,12 @@ __version__ = "0.1.0"
 
 from .counting import CountReport, count_matchings, necessary_condition, ryser_permanent
 from .construct_group import knn_partition, l2nn_partition
-from .search import SearchBudgetExceeded, find_factorizations, find_perfect_partition
+from .search import (
+    SearchBudgetExceeded,
+    find_factorizations,
+    find_perfect_partition,
+    perfect_partitions,
+)
 from .graph_model import GraphSpec, from_matrix, l_graph
 from .construct_l61 import build_l61
 from .construct_l82 import build_l82
@@ -50,6 +55,7 @@ __all__ = [
     "l_graph",
     "load_certificate",
     "necessary_condition",
+    "perfect_partitions",
     "ryser_permanent",
     "save_certificate",
 ]

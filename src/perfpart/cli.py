@@ -15,13 +15,13 @@ from dataclasses import asdict
 from itertools import chain
 
 from .construct_group import knn_partition, l2nn_partition
-from .construct_l61 import build_l61
+from .construct_l61 import DEFAULT_Y0, build_l61
 from .construct_l82 import build_l82, classify_parts
 from .counting import count_up_to, necessary_condition
 from .graph_model import GraphSpec, degree, from_matrix, l_graph
 from .matchings import enumerate_matchings, label_l61, label_l82
 from .perm_core import parse_cycles, to_cycles
-from .search import SearchBudgetExceeded, find_perfect_partition
+from .search import SearchBudgetExceeded, find_perfect_partition, perfect_partitions
 from .tables import diff_parts, l61_golden_parts
 from .verifier import (
     check_extendability,
@@ -32,6 +32,9 @@ from .verifier import (
 )
 
 SEARCH_TARGETS = {"l41": (1, 4), "l51": (1, 5), "l62": (2, 3)}
+
+# The construct flags that apply to one target only, and that target.
+TARGET_FLAGS = {"y0": "l61", "seed": "l61", "pattern": "l61", "golden": "l61", "audit": "l82"}
 
 # Largest N each coset builder accepts: knn:9 has 9! = 362880 matchings and
 # l2nn:6 has (6!)^2 = 518400; one size up is 10x or 49x that in time and memory.
@@ -70,6 +73,13 @@ def _emit(args, payload, lines, sort_keys: bool = True) -> None:
         return
     for line in lines:
         print(line)
+
+
+def _undecided(args, key: str) -> int:
+    """Report a search whose node budget ran out before a verdict: exit 1."""
+    payload = {key: None, "error": "budget exhausted"}
+    _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
+    return 1
 
 
 def _save(parser: argparse.ArgumentParser, cert, path: str) -> None:
@@ -135,8 +145,14 @@ def _cmd_count(parser, args) -> int:
         f"n={report.n} matchings={report.count} degree={report.degree} "
         f"divisible={'yes' if report.divisible else 'no'}"
     )
-    _emit(args, payload, [human, json.dumps(payload, sort_keys=True)])
-    return 0
+    lines = [human, json.dumps(payload, sort_keys=True)]
+    # both counts exist only under --oracle on an L graph: two routes to one number
+    rook, perm = report.rook_count, report.oracle_count
+    agree = rook is None or perm is None or rook == perm
+    if not agree:
+        lines.append(f"FAIL: closed form {rook} != permanent {perm}")
+    _emit(args, payload, lines)
+    return 0 if agree else 1
 
 
 def _classifier(spec: GraphSpec, parser):
@@ -164,15 +180,12 @@ def _cmd_enumerate(parser, args) -> int:
 def _build_target(parser, args):
     target = args.target
     if target == "l61":
-        kwargs = {}
-        if args.y0 is not None:
-            kwargs["y0"] = args.y0
         try:
-            if args.seed:
-                kwargs["seed"] = parse_cycles(args.seed, 6)
-            if args.pattern:
-                kwargs["pattern"] = parse_cycles(args.pattern, 6)
-            return build_l61(**kwargs)
+            return build_l61(
+                DEFAULT_Y0 if args.y0 is None else args.y0,
+                seed=parse_cycles(args.seed, 6) if args.seed else None,
+                pattern=parse_cycles(args.pattern, 6) if args.pattern else None,
+            )
         except ValueError as exc:
             parser.error(str(exc))
     if target == "l82":
@@ -190,12 +203,10 @@ def _build_target(parser, args):
 
 
 def _cmd_construct(parser, args) -> int:
-    if (args.y0 is not None or args.seed or args.pattern) and args.target != "l61":
-        parser.error("--y0/--seed/--pattern apply to --target l61 only")
-    if args.golden and args.target != "l61":
-        parser.error("--golden applies to --target l61 only")
-    if args.audit and args.target != "l82":
-        parser.error("--audit applies to --target l82 only")
+    # an empty --seed or --pattern means the flag was not given
+    for flag, target in TARGET_FLAGS.items():
+        if getattr(args, flag) and args.target != target:
+            parser.error(f"--{flag} applies to --target {target} only")
 
     cert = _build_target(parser, args)
     out = args.out or f"{args.target.replace(':', '')}.json"
@@ -252,35 +263,22 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_search(parser, args) -> int:
-    if args.target is not None and args.matrix is not None:
-        parser.error("--target excludes --matrix")
     if args.all and args.out:
         parser.error("--out applies to a single found partition, not to --all")
-    if args.target is not None:
-        if args.target not in SEARCH_TARGETS:
-            parser.error(f"unknown target {args.target!r}; use l41, l51 or l62")
-        r, m = SEARCH_TARGETS[args.target]
-        spec = l_graph(r, m)
-        asserted = True
-    else:
-        if args.matrix is None:
-            parser.error("need --target or --matrix FILE")
-        spec = _read_matrix(parser, args.matrix)
-        asserted = False
+    asserted = args.target is not None
+    spec = l_graph(*SEARCH_TARGETS[args.target]) if asserted else _read_matrix(parser, args.matrix)
     _require_regular(parser, spec)
     _bound_matchings(parser, spec)
 
     try:
         if args.all:
-            count = sum(1 for _ in find_perfect_partition(spec, find_all=True, budget=args.budget))
+            count = sum(1 for _ in perfect_partitions(spec, budget=args.budget))
             payload = {"partitions": count}
             _emit(args, payload, [f"{count} perfect partition(s)"], sort_keys=False)
             return 0 if (count or not asserted) else 1
         found = find_perfect_partition(spec, budget=args.budget)
     except SearchBudgetExceeded:
-        payload = {"found": None, "error": "budget exhausted"}
-        _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
-        return 1
+        return _undecided(args, "found")
 
     if found is None:
         _emit(args, {"found": False}, ["NONE: no perfect partition exists"], sort_keys=False)
@@ -305,9 +303,7 @@ def _cmd_check(parser, args) -> int:
     try:
         report = check_extendability(spec, budget=args.budget)
     except SearchBudgetExceeded:
-        payload = {"blocked": None, "error": "budget exhausted"}
-        _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
-        return 1
+        return _undecided(args, "blocked")
     blocked = [to_cycles(p) for p in report.blocked]
     if report.all_extendable:
         lines = [f"OK: all {report.total} matchings extend to a 1-factorization"]
@@ -325,20 +321,22 @@ def _parser() -> argparse.ArgumentParser:
         "partitions of K_{n,n} minus diagonal holes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = subs.add_parser("count", help="matching count and divisibility test")
+    p = subs.add_parser("count", parents=[json_flag], help="matching count and divisibility test")
     _add_graph_flags(p)
     p.add_argument("--oracle", action="store_true", help="cross-check with the permanent")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
-    p = subs.add_parser("enumerate", help="list all perfect matchings")
+    p = subs.add_parser("enumerate", parents=[json_flag], help="list all perfect matchings")
     _add_graph_flags(p)
     p.add_argument("--classify", action="store_true", help="append block-class tags")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = subs.add_parser("construct", help="build a partition certificate file")
+    p = subs.add_parser(
+        "construct", parents=[json_flag], help="build a partition certificate file"
+    )
     p.add_argument("--target", required=True, help="l61, l82, knn:N or l2nn:N")
     p.add_argument("--y0", type=int, choices=range(2, 7), help="l61 axis point")
     p.add_argument("--seed", help="l61 seed, cycle notation like '(1 2 3)(4 5 6)'")
@@ -346,27 +344,24 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--golden", action="store_true", help="diff against reference tables")
     p.add_argument("--audit", action="store_true", help="print the class-usage ledger")
     p.add_argument("--out", help="certificate path (default <target>.json)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
-    p = subs.add_parser("verify", help="verify a certificate file")
+    p = subs.add_parser("verify", parents=[json_flag], help="verify a certificate file")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = subs.add_parser("search", help="exhaustive perfect-partition search")
-    p.add_argument("--target", help="l41, l51 or l62")
-    p.add_argument("--matrix", metavar="FILE", help="0/1 adjacency rows, one per line")
+    p = subs.add_parser("search", parents=[json_flag], help="exhaustive perfect-partition search")
+    graph = p.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--target", choices=SEARCH_TARGETS, help="a graph expected to have one")
+    graph.add_argument("--matrix", metavar="FILE", help="0/1 adjacency rows, one per line")
     p.add_argument("--all", action="store_true", help="count every partition")
     p.add_argument("--budget", type=int, help="search node budget")
     p.add_argument("--out", help="write the found certificate here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
-    p = subs.add_parser("check", help="matching extendability check")
+    p = subs.add_parser("check", parents=[json_flag], help="matching extendability check")
     _add_graph_flags(p)
     p.add_argument("--budget", type=int, help="per-matching search node budget")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -258,7 +258,7 @@ def _residual_pairs(members: tuple[Perm, ...]) -> list[tuple[Perm, Perm]]:
             rows[row] ^= 1 << (img - 1)
     assert all(r.bit_count() == 2 for r in rows)
     pairs = []
-    for b1 in enumerate_matchings(GraphSpec(rows=tuple(rows), kind="matrix")):
+    for b1 in enumerate_matchings(GraphSpec(rows=tuple(rows))):
         b2 = tuple((r ^ 1 << (x - 1)).bit_length() for r, x in zip(rows, b1))
         assert is_permutation(b2, N)
         if b1 < b2:
@@ -486,5 +486,5 @@ def build_l82() -> PartitionCertificate:
     assert len(parts) == 792
     flat = [m for p in parts for m in p]
     assert len(flat) == len(set(flat)) == 4752
-    assert set(flat) == set(enumerate_matchings(_graph()))
+    assert set(flat) == set(_labels())
     return make_certificate(_graph(), parts, complete=True)

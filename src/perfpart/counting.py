@@ -64,7 +64,7 @@ def count_matchings(r: int, m: int | None = None, n: int | None = None) -> int:
 
 def closed_count(spec: GraphSpec) -> int | None:
     """The matching count of an L graph by its closed form; None for a matrix."""
-    if spec.kind == "L" and spec.r is not None:
+    if spec.r is not None:
         return count_matchings(spec.r, spec.m, n=spec.n)
     return None
 

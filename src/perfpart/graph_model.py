@@ -36,9 +36,13 @@ class GraphSpec:
     """An n x n bipartite adjacency pattern, either from the L family or explicit."""
 
     rows: tuple[int, ...]
-    kind: str  # "L" or "matrix"
     r: int | None = None
     m: int | None = None
+
+    @property
+    def kind(self) -> str:
+        """The graph's family: "L" when r is set, else "matrix"."""
+        return "matrix" if self.r is None else "L"
 
     @property
     def n(self) -> int:
@@ -65,6 +69,8 @@ def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
     if r == 0:
         if n is None or n < 1:
             raise ValueError("r=0 needs an explicit n >= 1")
+        if m is not None:
+            raise ValueError("r=0 takes n, not m")
         size = n
     else:
         if m is None or m < 1:
@@ -83,7 +89,7 @@ def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
             block = i // r
             hole = ((1 << r) - 1) << (block * r)
             rows.append(full & ~hole)
-    return GraphSpec(rows=tuple(rows), kind="L", r=r, m=None if r == 0 else m)
+    return GraphSpec(rows=tuple(rows), r=r, m=m)
 
 
 def from_matrix(rows: Sequence[str]) -> GraphSpec:
@@ -98,7 +104,7 @@ def from_matrix(rows: Sequence[str]) -> GraphSpec:
         if not isinstance(row, str) or len(row) != n or set(row) - {"0", "1"}:
             raise ValueError(f"bad bitstring row {short_repr(row)}")
         masks.append(sum(1 << j for j, ch in enumerate(row) if ch == "1"))
-    return GraphSpec(rows=tuple(masks), kind="matrix")
+    return GraphSpec(rows=tuple(masks))
 
 
 def row_strings(spec: GraphSpec) -> list[str]:
@@ -111,7 +117,7 @@ def row_strings(spec: GraphSpec) -> list[str]:
 
 def degree(spec: GraphSpec) -> int:
     """Common row/column degree; raises on an irregular explicit matrix."""
-    if spec.kind == "L" and spec.r is not None:
+    if spec.r is not None:
         return spec.n - spec.r
     sums = {bin(row).count("1") for row in spec.rows}
     cols = {

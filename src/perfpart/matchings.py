@@ -7,16 +7,50 @@ this practical through n = 16.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .graph_model import GraphSpec, invertible_blocks, zero_blocks
 from .perm_core import Perm, cycle_type
+
+
+def _has_perfect_matching(rows: Sequence[int]) -> bool:
+    """True when the rows (column bitmasks) have a perfect matching.
+
+    Kuhn's algorithm: each row in turn looks for an augmenting path, which
+    costs O(n * edges) in all, polynomial where backtracking is not.
+    """
+    owner: dict[int, int] = {}  # column bit -> the row it is matched to
+    seen = 0
+
+    def augment(i: int) -> bool:
+        nonlocal seen
+        cands = rows[i] & ~seen
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if seen & low:
+                continue
+            seen |= low
+            if low not in owner or augment(owner[low]):
+                owner[low] = i
+                return True
+        return False
+
+    for i in range(len(rows)):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
 
 
 def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
     """Yield all perfect matchings as image tuples, lexicographically sorted."""
     n = spec.n
     rows = spec.rows
+    # The reach prune below misses a dead row or a Hall violation, which
+    # backtracking finds only after trying every placement of the rows above.
+    if not _has_perfect_matching(rows):
+        return
     full = (1 << n) - 1
     # reach[i]: the columns rows i.. have an edge to.  A branch whose unused
     # columns are not all in reach[i] can complete no matching.

@@ -190,28 +190,26 @@ def find_factorizations(
 
 
 def find_perfect_partition(
-    spec: GraphSpec,
-    find_all: bool = False,
-    budget: int | None = None,
-    precheck: bool = True,
-):
+    spec: GraphSpec, budget: int | None = None, precheck: bool = True
+) -> tuple[tuple[Perm, ...], ...] | None:
     """First perfect partition of spec, or None when provably none exists.
 
-    With find_all=True, return an iterator over every perfect partition
-    instead.  budget bounds total search nodes across both cover levels;
-    exceeding it raises SearchBudgetExceeded, which is distinct from the
-    proven-none result.  precheck applies the divisibility shortcut before
-    searching (a failed shortcut is itself a proof of none).
+    budget bounds total search nodes across both cover levels; exceeding it
+    raises SearchBudgetExceeded, which is distinct from the proven-none
+    result.  precheck applies the divisibility shortcut before searching (a
+    failed shortcut is itself a proof of none).
     """
-    gen = _partitions(spec, budget, precheck)
-    if find_all:
-        return gen
-    return next(gen, None)
+    return next(perfect_partitions(spec, budget, precheck), None)
 
 
-def _partitions(
-    spec: GraphSpec, budget: int | None, precheck: bool
+def perfect_partitions(
+    spec: GraphSpec, budget: int | None = None, precheck: bool = True
 ) -> Iterator[tuple[tuple[Perm, ...], ...]]:
+    """Yield every perfect partition of spec, in the order the search finds them.
+
+    budget and precheck are as in find_perfect_partition; the budget is shared
+    by the whole iteration.
+    """
     d = degree(spec)
     matchings, index = matching_index(spec)
     if not matchings:

@@ -71,6 +71,18 @@ def test_count_usage_errors(circulant_file):
     usage_error("count", "--matrix", circulant_file, "--r", "1")
     usage_error("count", "--r", "1")  # missing m
     usage_error("count", "--matrix", "/no/such/file")
+    usage_error("count", "--r", "0", "--m", "3", "--n", "4")  # K_{n,n} has no m
+    usage_error("check", "--r", "0", "--m", "9", "--n", "4")
+
+
+def test_count_oracle_fails_when_the_counts_disagree(run, monkeypatch):
+    """--oracle compares the closed form with the permanent, not just prints both."""
+    monkeypatch.setattr("perfpart.counting.permanent_of_spec", lambda spec: 266)
+    code, out = run("count", "--r", "1", "--m", "6", "--oracle")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL: closed form 265 != permanent 266"
+    code, out = run("count", "--r", "1", "--m", "6", "--oracle", "--json")
+    assert code == 1 and json.loads(out)["oracle_count"] == 266
 
 
 def test_count_bounds_the_permanent(tmp_path):
@@ -196,6 +208,19 @@ def test_construct_usage_errors():
     usage_error("construct", "--target", "knn:3", "--y0", "2")
     usage_error("construct", "--target", "l61", "--seed", "(1 2)(3 4)")
     usage_error("construct", "--target", "l82", "--pattern", "(1 2 3)(4 6 5)")
+    usage_error("construct", "--target", "knn:3", "--pattern", "(1 2 3)(4 6 5)")
+    usage_error("construct", "--target", "l82", "--seed", "(1 2 3)(4 5 6)")
+    usage_error("construct", "--target", "l2nn:2", "--audit")
+
+
+def test_construct_takes_an_empty_seed_as_not_given(run, tmp_path):
+    """An empty --seed or --pattern means the flag was not given."""
+    path = tmp_path / "l61.json"
+    code, _ = run(
+        "construct", "--target", "l61", "--seed", "", "--pattern", "", "--out", str(path)
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CERT_SHA256["l61"]
 
 
 def test_construct_rejects_oversized_group_targets():
@@ -416,11 +441,19 @@ def test_search_usage_errors(circulant_file, tmp_path):
     assert not out.exists()
 
 
-def test_enumerate_ends_at_once_on_a_column_no_row_reaches(tmp_path):
-    # 14 rows with an all-zero last column: no matching, and 13! branches
-    # for an enumeration that does not prune the dead column
-    path = tmp_path / "dead-col.txt"
-    path.write_text("11111111111110\n" * 14)
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["11111111111110"] * 14,  # a column no row reaches
+        ["11111111111111"] * 13 + ["00000000000000"],  # a row with no edge
+        ["11111111111111"] * 12 + ["10000000000000"] * 2,  # two rows share one column
+    ],
+    ids=["dead-column", "dead-row", "hall-violation"],
+)
+def test_enumerate_ends_at_once_on_a_matrix_with_no_matching(tmp_path, rows):
+    # 14 rows and no matching; backtracking alone tries up to 13! placements
+    path = tmp_path / "rows.txt"
+    path.write_text("".join(row + "\n" for row in rows))
     proc = subprocess.run(
         [sys.executable, "-m", "perfpart.cli", "enumerate", "--matrix", str(path), "--json"],
         capture_output=True,

@@ -54,6 +54,9 @@ def test_l_graph_rejects_bad_parameters():
         l_graph(2, 3, n=7)
     with pytest.raises(ValueError, match="bound"):
         l_graph(1, 65)
+    # K_{n,n} has no holes, so an m with r = 0 is refused rather than ignored
+    with pytest.raises(ValueError, match="r=0 takes n, not m"):
+        l_graph(0, 3, n=4)
 
 
 def test_from_matrix_reads_bitstring_rows():

@@ -18,6 +18,7 @@ from perfpart.search import (
     exact_cover,
     find_factorizations,
     find_perfect_partition,
+    perfect_partitions,
 )
 from perfpart.tables import canonical_parts, l41_table
 from perfpart.verifier import check_partition, make_certificate
@@ -199,7 +200,7 @@ def test_l41_partition_is_found_and_unique():
     parts = find_perfect_partition(g)
     assert parts is not None
     assert canonical_parts(parts) == canonical_parts(l41_table())
-    assert sum(1 for _ in find_perfect_partition(g, find_all=True)) == 1
+    assert sum(1 for _ in perfect_partitions(g)) == 1
 
 
 def test_search_certifies_l51_and_l62():
