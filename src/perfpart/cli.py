@@ -59,11 +59,22 @@ PERMANENT_MAX_N = 20
 MATCHINGS_MAX = 20_000
 
 
+def _matrix_file(path: str) -> GraphSpec:
+    try:
+        with open(path, encoding="ascii") as fh:
+            return from_matrix([line.strip() for line in fh if line.strip()])
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"bad matrix file {path}: {exc}") from None
+
+
 def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--r", type=int, help="hole size r of L(r, m); 0 for K_{n,n}")
+    graph = sub.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--r", type=int, help="hole size r of L(r, m); 0 for K_{n,n}")
+    graph.add_argument(
+        "--matrix", metavar="FILE", type=_matrix_file, help="0/1 adjacency rows, one per line"
+    )
     sub.add_argument("--m", type=int, help="number of holes m of L(r, m)")
     sub.add_argument("--n", type=int, help="side size; required when r = 0")
-    sub.add_argument("--matrix", metavar="FILE", help="0/1 adjacency rows, one per line")
 
 
 def _emit(args, payload, lines, sort_keys: bool = True) -> None:
@@ -108,22 +119,11 @@ def _require_regular(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
         parser.error(f"{exc} (count, search and check need a regular graph)")
 
 
-def _read_matrix(parser: argparse.ArgumentParser, path: str) -> GraphSpec:
-    try:
-        with open(path, encoding="ascii") as fh:
-            rows = [line.strip() for line in fh if line.strip()]
-        return from_matrix(rows)
-    except (OSError, ValueError) as exc:
-        parser.error(f"bad matrix file {path}: {exc}")
-
-
 def _graph_from_flags(parser: argparse.ArgumentParser, args) -> GraphSpec:
     if args.matrix is not None:
-        if args.r is not None or args.m is not None or args.n is not None:
-            parser.error("--matrix excludes --r/--m/--n")
-        return _read_matrix(parser, args.matrix)
-    if args.r is None:
-        parser.error("need --r (with --m or --n) or --matrix FILE")
+        if args.m is not None or args.n is not None:
+            parser.error("--matrix excludes --m/--n")
+        return args.matrix
     try:
         return l_graph(args.r, args.m, args.n)
     except ValueError as exc:
@@ -263,10 +263,8 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_search(parser, args) -> int:
-    if args.all and args.out:
-        parser.error("--out applies to a single found partition, not to --all")
     asserted = args.target is not None
-    spec = l_graph(*SEARCH_TARGETS[args.target]) if asserted else _read_matrix(parser, args.matrix)
+    spec = l_graph(*SEARCH_TARGETS[args.target]) if asserted else args.matrix
     _require_regular(parser, spec)
     _bound_matchings(parser, spec)
 
@@ -327,12 +325,12 @@ def _parser() -> argparse.ArgumentParser:
     p = subs.add_parser("count", parents=[json_flag], help="matching count and divisibility test")
     _add_graph_flags(p)
     p.add_argument("--oracle", action="store_true", help="cross-check with the permanent")
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, parser=p)
 
     p = subs.add_parser("enumerate", parents=[json_flag], help="list all perfect matchings")
     _add_graph_flags(p)
     p.add_argument("--classify", action="store_true", help="append block-class tags")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_enumerate, parser=p)
 
     p = subs.add_parser(
         "construct", parents=[json_flag], help="build a partition certificate file"
@@ -344,34 +342,36 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--golden", action="store_true", help="diff against reference tables")
     p.add_argument("--audit", action="store_true", help="print the class-usage ledger")
     p.add_argument("--out", help="certificate path (default <target>.json)")
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, parser=p)
 
     p = subs.add_parser("verify", parents=[json_flag], help="verify a certificate file")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     p = subs.add_parser("search", parents=[json_flag], help="exhaustive perfect-partition search")
     graph = p.add_mutually_exclusive_group(required=True)
     graph.add_argument("--target", choices=SEARCH_TARGETS, help="a graph expected to have one")
-    graph.add_argument("--matrix", metavar="FILE", help="0/1 adjacency rows, one per line")
-    p.add_argument("--all", action="store_true", help="count every partition")
+    graph.add_argument(
+        "--matrix", metavar="FILE", type=_matrix_file, help="0/1 adjacency rows, one per line"
+    )
     p.add_argument("--budget", type=int, help="search node budget")
-    p.add_argument("--out", help="write the found certificate here")
-    p.set_defaults(func=_cmd_search)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--all", action="store_true", help="count every partition")
+    mode.add_argument("--out", help="write the found certificate here")
+    p.set_defaults(func=_cmd_search, parser=p)
 
     p = subs.add_parser("check", parents=[json_flag], help="matching extendability check")
     _add_graph_flags(p)
     p.add_argument("--budget", type=int, help="per-matching search node budget")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except BrokenPipeError:
         # downstream pager/head closed the stream; not an error of ours
         devnull = os.open(os.devnull, os.O_WRONLY)

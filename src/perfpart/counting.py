@@ -75,11 +75,15 @@ def count_up_to(spec: GraphSpec, limit: int) -> int:
     L graphs use the closed form, exact at any size.  A matrix is enumerated
     only up to one matching past limit, so a larger count reads as limit + 1;
     that costs about as much as listing limit matchings, where Ryser's
-    permanent would cost 2^n whatever the limit.
+    permanent would cost 2^n whatever the limit.  The enumeration places the
+    sparsest rows first: a sparse row left for last can strand every placement
+    of the rows above it.  Permuting rows keeps the count, and a regular
+    matrix keeps its order.
     """
     total = closed_count(spec)
     if total is None:
-        total = sum(1 for _ in islice(enumerate_matchings(spec), limit + 1))
+        rows = tuple(sorted(spec.rows, key=int.bit_count))
+        total = sum(1 for _ in islice(enumerate_matchings(GraphSpec(rows)), limit + 1))
     return total
 
 

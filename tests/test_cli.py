@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -112,6 +113,13 @@ def test_enumerate_plain_and_classified(run):
     records = json.loads(out)
     assert len(records) == 9 and records[0] == {"cycles": "(1 2)(3 4)"}
 
+    code, out = run("enumerate", "--r", "2", "--m", "4", "--classify", "--json")
+    assert code == 0
+    records = json.loads(out)
+    assert records[0] == {"cycles": "(1 3)(2 4)(5 7)(6 8)", "class": "S4"}
+    census = Counter(rec["class"] for rec in records)
+    assert census == {"S0": 2304, "S1": 1536, "S2": 768, "S4": 144}
+
 
 def test_enumerate_classify_needs_a_known_family():
     usage_error("enumerate", "--r", "1", "--m", "4", "--classify")
@@ -141,6 +149,38 @@ def test_a_non_regular_matrix_is_a_usage_error(run, tmp_path, capsys):
         assert "matrix is not regular" in capsys.readouterr().err
     code, out = run("enumerate", "--matrix", str(path))
     assert code == 0 and out.split() == ["()", "(2", "3)", "(1", "2", "3)"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--matrix", "k10.txt", "--budget", "10"),
+        ("check", "--matrix", "irregular.txt"),
+        ("count", "--r", "0", "--m", "3", "--n", "4"),
+        ("count", "--r", "1", "--m", "21", "--oracle"),
+        ("enumerate", "--r", "1", "--m", "4", "--classify"),
+        ("construct", "--target", "knn:x"),
+        ("construct", "--target", "l82", "--seed", "(1 2 3)(4 5 6)"),
+        ("search", "--target", "l41", "--out", "."),
+    ],
+    ids=[
+        "matching-bound",
+        "not-regular",
+        "graph-flags",
+        "permanent-bound",
+        "classifier",
+        "bad-target",
+        "target-flag",
+        "unwritable-out",
+    ],
+)
+def test_a_usage_error_prints_its_subcommands_usage(tmp_path, monkeypatch, capsys, argv):
+    """Errors the CLI words itself show the usage line argparse's own would."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k10.txt").write_text(("1" * 10 + "\n") * 10)
+    (tmp_path / "irregular.txt").write_text("110\n011\n111\n")
+    usage_error(*argv)
+    assert capsys.readouterr().err.startswith(f"usage: perfpart {argv[0]} ")
 
 
 def test_construct_l61_golden_then_verify(run, tmp_path, monkeypatch):
@@ -441,6 +481,18 @@ def test_search_usage_errors(circulant_file, tmp_path):
     assert not out.exists()
 
 
+def _enumerate_in_a_subprocess(tmp_path, rows):
+    path = tmp_path / "rows.txt"
+    path.write_text("".join(row + "\n" for row in rows))
+    return subprocess.run(
+        [sys.executable, "-m", "perfpart.cli", "enumerate", "--matrix", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=10,
+    )
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -452,17 +504,19 @@ def test_search_usage_errors(circulant_file, tmp_path):
 )
 def test_enumerate_ends_at_once_on_a_matrix_with_no_matching(tmp_path, rows):
     # 14 rows and no matching; backtracking alone tries up to 13! placements
-    path = tmp_path / "rows.txt"
-    path.write_text("".join(row + "\n" for row in rows))
-    proc = subprocess.run(
-        [sys.executable, "-m", "perfpart.cli", "enumerate", "--matrix", str(path), "--json"],
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=10,
-    )
+    proc = _enumerate_in_a_subprocess(tmp_path, rows)
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"
+
+
+def test_enumerate_ends_at_once_on_a_matrix_that_strands_its_last_rows(tmp_path):
+    """Two sparse last rows: 2 * 12! matchings, but listed in row order the
+    first row takes column 1 and every placement of rows 2-12 strands them.
+    The matching bound counts with the sparse rows first and refuses it."""
+    rows = ["11111111111111"] * 12 + ["11000000000000"] * 2
+    proc = _enumerate_in_a_subprocess(tmp_path, rows)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "bounded to 20000 matchings" in proc.stderr
 
 
 def test_check_extendability(run):
