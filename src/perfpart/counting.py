@@ -78,7 +78,8 @@ def count_up_to(spec: GraphSpec, limit: int) -> int:
     permanent would cost 2^n whatever the limit.  The enumeration places the
     sparsest rows first: a sparse row left for last can strand every placement
     of the rows above it.  Permuting rows keeps the count, and a regular
-    matrix keeps its order.
+    matrix keeps its order.  Sorting the rows here lets enumerate_matchings
+    stream in their order, where it would list and sort every matching.
     """
     total = closed_count(spec)
     if total is None:

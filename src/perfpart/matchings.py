@@ -44,13 +44,21 @@ def _has_perfect_matching(rows: Sequence[int]) -> bool:
 
 
 def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
-    """Yield all perfect matchings as image tuples, lexicographically sorted."""
+    """Yield all perfect matchings as image tuples, lexicographically sorted.
+
+    Rows are placed sparsest first: a sparse row placed late can strand every
+    placement of the rows above it.  When that order is the file's order, as
+    in every regular matrix, matchings stream out in lexicographic order;
+    otherwise they are all listed, mapped back to the file's row order and
+    sorted before the first is yielded.
+    """
     n = spec.n
-    rows = spec.rows
     # The reach prune below misses a dead row or a Hall violation, which
     # backtracking finds only after trying every placement of the rows above.
-    if not _has_perfect_matching(rows):
+    if not _has_perfect_matching(spec.rows):
         return
+    order = sorted(range(n), key=lambda i: spec.rows[i].bit_count())
+    rows = [spec.rows[i] for i in order]
     full = (1 << n) - 1
     # reach[i]: the columns rows i.. have an edge to.  A branch whose unused
     # columns are not all in reach[i] can complete no matching.
@@ -73,7 +81,12 @@ def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
             images[i] = j
             yield from extend(i + 1, used | low)
 
-    yield from extend(0, 0)
+    if order == list(range(n)):
+        yield from extend(0, 0)
+        return
+    # extend yields images in placement order; at[r] is where file row r is placed
+    at = sorted(range(n), key=order.__getitem__)
+    yield from sorted(tuple(m[i] for i in at) for m in extend(0, 0))
 
 
 def count_by_enumeration(spec: GraphSpec) -> int:

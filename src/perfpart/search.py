@@ -7,11 +7,17 @@ targets the most constrained column, and the outer level always extends the
 lexicographically least uncovered matching, which kills the part-order
 symmetry without losing completeness.
 
-Both levels run on one CoverIndex of the graph's matchings, built once per
-search: the inner level covers edges with the rows still alive, and the outer
-level removes a placed part by clearing its rows from the alive bitset.  Both
-levels keep their path on an explicit stack rather than the Python call stack,
-because a graph can need thousands of parts and a cover thousands of rows.
+Both levels run on a CoverIndex of the graph's matchings: the inner level
+covers edges with the rows still alive, and the outer level removes a placed
+part by clearing its rows from the alive bitset.  A node's cost grows with
+the width of the index's row bitsets, not with the rows still alive, so once
+half of a wide index's rows are placed the outer level descends into an index
+over the free rows alone, and backtracking returns to the wider one.  A
+restricted index keeps the rows in their order, so the anchor, the column
+choices and the candidate order, and with them the search tree and its node
+count, are those of the full index.  Both levels keep their path on an
+explicit stack rather than the Python call stack, because a graph can need
+thousands of parts and a cover thousands of rows.
 
 Everything is deterministic: matchings are taken in lexicographic order and
 candidates are tried in ascending index order.
@@ -68,6 +74,20 @@ class CoverIndex:
                 clash |= col_rows[col]
             self.keep.append(~clash)
         self.cols = tuple((1 << c, col) for c, col in enumerate(col_rows))
+
+    def restrict(self, alive: int) -> tuple[list[int], CoverIndex]:
+        """The alive rows' ids in ascending order, and an index over just those rows.
+
+        Row k of the new index is row ids[k] of this one, so the relative order
+        of the rows, and with it every search over them, is unchanged.
+        """
+        ids = []
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            ids.append(low.bit_length() - 1)
+        rows = self.rows
+        return ids, CoverIndex(self.full.bit_length(), [rows[i] for i in ids])
 
     def covers(
         self,
@@ -189,6 +209,16 @@ def find_factorizations(
         yield tuple(matchings[i] for i in sol)
 
 
+# perfect_partitions re-indexes the free rows only of an index wider than
+# this.  Each re-index builds a new CoverIndex, and a search that backtracks
+# across a halving builds it again.  Below a few hundred rows a narrower
+# bitset saves too little to pay for that: re-indexing at every halving made
+# the first partition of L(2, 3) (80 rows) take 4-6 times as long and K_{5,5}
+# (120 rows) about 1.5 times as long.  L(1, 7) (1854 rows) re-indexes three
+# times, down to 228 rows.
+RESTRICT_FLOOR = 256
+
+
 def find_perfect_partition(
     spec: GraphSpec, budget: int | None = None, precheck: bool = True
 ) -> tuple[tuple[Perm, ...], ...] | None:
@@ -220,7 +250,7 @@ def perfect_partitions(
         return
     shared = [budget] if budget is not None else None
 
-    def next_parts(free: int) -> Iterator[tuple[int, ...]]:
+    def next_parts(index: CoverIndex, free: int) -> Iterator[tuple[int, ...]]:
         # One outer node: the parts through the least uncovered matching.
         if shared is not None:
             if shared[0] <= 0:
@@ -229,26 +259,31 @@ def perfect_partitions(
         anchor = (free & -free).bit_length() - 1
         return index.covers(free, (anchor,), shared)
 
-    # Explicit DFS stack: levels[k] yields the candidates for part k, and
-    # placed[k] is the part currently taken from it, with its row bitset.
+    # Explicit DFS stack: levels[k] holds the candidates for part k, the index
+    # they come from, that index's rows as matchings, and the rows free before
+    # part k.  placed[k] is the part currently taken from levels[k], as row ids
+    # of its index with that index's matchings.
     free = index.all_rows
-    levels = [next_parts(free)]
-    placed: list[tuple[tuple[int, ...], int]] = []
+    levels = [(next_parts(index, free), index, matchings, free)]
+    placed: list[tuple[tuple[int, ...], list[Perm]]] = []
     while levels:
-        part = next(levels[-1], None)
+        candidates, index, names, free = levels[-1]
+        part = next(candidates, None)
         if part is None:
             levels.pop()
             if placed:
-                free |= placed.pop()[1]
+                placed.pop()
             continue
-        bits = 0
         for i in part:
-            bits |= 1 << i
-        free &= ~bits
-        placed.append((part, bits))
-        if free:
-            levels.append(next_parts(free))
+            free ^= 1 << i
+        placed.append((part, names))
+        if not free:
+            yield tuple(tuple(ns[i] for i in ids) for ids, ns in placed)
+            placed.pop()
             continue
-        yield tuple(tuple(matchings[i] for i in ids) for ids, _ in placed)
-        placed.pop()
-        free |= bits
+        n_rows = len(index.rows)
+        if n_rows > RESTRICT_FLOOR and 2 * free.bit_count() <= n_rows:
+            ids, index = index.restrict(free)
+            names = [names[i] for i in ids]
+            free = index.all_rows
+        levels.append((next_parts(index, free), index, names, free))

@@ -1,15 +1,19 @@
-"""The recursive exact-cover search that CoverIndex.covers must match node for node.
+"""The searches that perfpart.search must match node for node.
 
-This is the generator form of the search, one Python frame per node.  It
-rebuilds each row's clash set from the column index at every choice.  Tests
-compare the flat loop in perfpart.search against it: the same covers in the
-same order, the same budget left after each one, and SearchBudgetExceeded at
-the same node.
+reference_covers is the generator form of the exact-cover search, one Python
+frame per node.  It rebuilds each row's clash set from the column index at
+every choice.  reference_partitions is the outer partition search on one
+CoverIndex of all the graph's matchings, which it never narrows.  Tests
+compare CoverIndex.covers and perfect_partitions against them: the same
+results in the same order, the same budget left after each one, and
+SearchBudgetExceeded at the same node.
 """
 
 from collections.abc import Iterator, Sequence
 
-from perfpart.search import SearchBudgetExceeded
+from perfpart.graph_model import GraphSpec, degree
+from perfpart.perm_core import Perm
+from perfpart.search import SearchBudgetExceeded, matching_index
 
 
 def reference_covers(
@@ -77,3 +81,47 @@ def reference_covers(
             chosen.pop()
 
     yield from descend(covered, alive)
+
+
+def reference_partitions(
+    spec: GraphSpec, budget: list[int] | None = None
+) -> Iterator[tuple[tuple[Perm, ...], ...]]:
+    d = degree(spec)
+    matchings, index = matching_index(spec)
+    if not matchings:
+        if d == 0:
+            yield ()
+        return
+    if d == 0 or len(matchings) % d != 0:
+        return
+
+    def next_parts(free: int) -> Iterator[tuple[int, ...]]:
+        # one outer node: the parts through the least free matching
+        if budget is not None:
+            if budget[0] <= 0:
+                raise SearchBudgetExceeded
+            budget[0] -= 1
+        anchor = (free & -free).bit_length() - 1
+        return index.covers(free, (anchor,), budget)
+
+    # levels[k] yields the candidates for part k; placed[k] is the part taken
+    # from it, with its row bitset
+    free = index.all_rows
+    levels = [next_parts(free)]
+    placed: list[tuple[tuple[int, ...], int]] = []
+    while levels:
+        part = next(levels[-1], None)
+        if part is None:
+            levels.pop()
+            if placed:
+                free |= placed.pop()[1]
+            continue
+        bits = sum(1 << i for i in part)
+        free &= ~bits
+        placed.append((part, bits))
+        if free:
+            levels.append(next_parts(free))
+            continue
+        yield tuple(tuple(matchings[i] for i in ids) for ids, _ in placed)
+        placed.pop()
+        free |= bits

@@ -1,11 +1,13 @@
 """Matching enumeration and the two classification schemes."""
 
+import time
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perfpart.counting import ryser_permanent
 from perfpart.graph_model import from_matrix, invertible_blocks, l_graph
 from perfpart.matchings import (
     census_l61,
@@ -47,6 +49,19 @@ def test_enumeration_matches_brute_force(spec):
         if all(spec.adjacency(i, x) for i, x in enumerate(p, start=1))
     ]
     assert list(enumerate_matchings(spec)) == want
+
+
+def test_sparse_rows_are_placed_first():
+    # placed in file order, the seven full rows try about 14!/7! placements
+    # before the single-column rows below them fail; placed sparsest first,
+    # the single-column rows go first and every branch after them is a matching
+    spec = from_matrix(["1" * 14] * 7 + ["0" * c + "1" + "0" * (13 - c) for c in range(7, 14)])
+    start = time.perf_counter()
+    got = list(enumerate_matchings(spec))
+    assert time.perf_counter() - start < 1
+    want = sorted(p + tuple(range(8, 15)) for p in permutations(range(1, 8)))
+    assert len(want) == ryser_permanent(spec.rows) == 5040
+    assert got == want
 
 
 @pytest.mark.parametrize(

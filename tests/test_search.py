@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_cover import reference_covers
+from reference_cover import reference_covers, reference_partitions
 
+from perfpart import search
 from perfpart.counting import necessary_condition
 from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
@@ -114,16 +115,16 @@ def search_instances(draw):
     return n_cols, rows, alive, forced, budget
 
 
-def search_trace(covers, budget):
-    # each cover with the budget left after it, then how the search ended
+def search_trace(results, left):
+    # each result with the budget left after it, then how the search ended
     trace = []
     try:
-        for cover in covers:
-            trace.append((cover, budget and budget[0]))
+        for result in results:
+            trace.append((result, left()))
     except SearchBudgetExceeded:
-        trace.append(("budget exceeded", budget[0]))
+        trace.append(("budget exceeded", left()))
     else:
-        trace.append(("done", budget and budget[0]))
+        trace.append(("done", left()))
     return trace
 
 
@@ -132,10 +133,111 @@ def search_trace(covers, budget):
 def test_covers_walks_the_reference_tree(instance):
     n_cols, rows, alive, forced, budget = instance
     shared = None if budget is None else [budget]
-    got = search_trace(CoverIndex(n_cols, rows).covers(alive, forced, shared), shared)
+    got = search_trace(
+        CoverIndex(n_cols, rows).covers(alive, forced, shared), lambda: shared and shared[0]
+    )
     shared = None if budget is None else [budget]
-    want = search_trace(reference_covers(n_cols, rows, alive, forced, shared), shared)
+    want = search_trace(
+        reference_covers(n_cols, rows, alive, forced, shared), lambda: shared and shared[0]
+    )
     assert got == want
+
+
+@settings(max_examples=100)
+@given(search_instances())
+def test_restrict_keeps_the_rows_and_their_covers(instance):
+    n_cols, rows, alive, _, _ = instance
+    index = CoverIndex(n_cols, rows)
+    ids, narrow = index.restrict(alive)
+    assert ids == sorted(ids) == [i for i in range(len(rows)) if alive >> i & 1]
+    assert narrow.rows == [rows[i] for i in ids]
+    for k, idx in enumerate(ids):
+        shared = [10**6]
+        covers = narrow.covers(narrow.all_rows, (k,), shared)
+        got = search_trace((tuple(ids[j] for j in c) for c in covers), lambda: shared[0])
+        shared = [10**6]
+        want = search_trace(index.covers(alive, (idx,), shared), lambda: shared[0])
+        assert got == want
+
+
+def partitions_trace(spec, budget):
+    """perfect_partitions' trace next to the one-index reference's.
+
+    perfect_partitions keeps its budget in a list that it passes to every
+    covers call; a spy on covers lends that list to the trace.
+    """
+    shared = [None]
+    covers = CoverIndex.covers
+
+    def spy(index, alive, forced=(), budget=None):
+        shared[0] = budget
+        return covers(index, alive, forced, budget)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(CoverIndex, "covers", spy)
+        got = search_trace(
+            perfect_partitions(spec, budget),
+            lambda: shared[0][0] if shared[0] else budget,
+        )
+    ref = None if budget is None else [budget]
+    want = search_trace(reference_partitions(spec, ref), lambda: ref and ref[0])
+    return got, want
+
+
+@st.composite
+def regular_matrices(draw):
+    # a circulant with random shifts, its rows and columns relabelled
+    n = draw(st.integers(1, 6))
+    shifts = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    row_at = draw(st.permutations(range(n)))
+    col_at = draw(st.permutations(range(n)))
+    return from_matrix(
+        [
+            "".join("1" if (col_at[j] - row_at[i]) % n in shifts else "0" for j in range(n))
+            for i in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [
+        (l_graph(1, 5), None),
+        (l_graph(2, 3), 20_000),
+        (from_matrix(["11111"] * 5), 20_000),
+    ],
+    ids=["l51", "l62", "k55"],
+)
+def test_restricted_search_walks_the_reference_tree(monkeypatch, spec, budget):
+    # with no floor every halving re-indexes, even on these small graphs
+    monkeypatch.setattr(search, "RESTRICT_FLOOR", 0)
+    got, want = partitions_trace(spec, budget)
+    assert got == want
+    assert len(got) > 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(regular_matrices(), st.integers(0, 2000))
+def test_restricted_search_walks_the_reference_tree_on_regular_matrices(spec, budget):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(search, "RESTRICT_FLOOR", 0)
+        got, want = partitions_trace(spec, budget)
+    assert got == want
+
+
+def test_l17_search_restricts_and_walks_the_reference_tree(monkeypatch):
+    calls = []
+    restrict = CoverIndex.restrict
+
+    def spy(index, alive):
+        calls.append(len(index.rows))
+        return restrict(index, alive)
+
+    monkeypatch.setattr(CoverIndex, "restrict", spy)
+    spec = from_matrix(["1" * i + "0" + "1" * (6 - i) for i in range(7)])
+    got, want = partitions_trace(spec, 20_000)
+    assert got == want
+    assert calls and calls[0] == 1854
 
 
 def test_exact_cover_node_count_on_l61():
