@@ -46,16 +46,13 @@ GROUP_TARGETS = {"knn:": (knn_partition, 9), "l2nn:": (l2nn_partition, 6)}
 PERMANENT_MAX_N = 20
 
 # Most matchings a graph may have for enumerate, search and check, which list
-# them all before the first budgeted node.  check searches only matchings that
-# no 1-factorization found so far contains, about one in five on L(2, 4) and
-# L(3, 3) and one in six on L(1, 8), over bitsets as wide as the count: the CLI
-# took 0.17 s CPU on L(2, 4) (4,752 matchings), 0.51 s on L(3, 3) (12,096) and
-# 0.75 s on L(1, 8) (14,833), two runs each on a 2-CPU VM with Python 3.11.
-# The exact-cover index keeps one clash bitset per matching,
-# about count**2 / 8 bytes: 0.4 MB on L(1, 7), 18 MB on L(3, 3), 28 MB on
-# L(1, 8) and 50 MB at this bound; check's peak RSS on L(1, 8) is 49 MB.  On
-# K_{9,9} and K_{10,10} check and search --budget 10 were still listing
-# matchings after 20 s.
+# them all first.  check builds a 1-factorization for 27-28% of the matchings:
+# the CLI took 0.19 s CPU on L(2, 4) (4,752 matchings), 0.34 s on L(3, 3)
+# (12,096) and 0.36 s on L(1, 8) (14,833), peaking at 17-18 MB RSS (medians of
+# five runs, 2-CPU VM, Python 3.11).  search's exact-cover index keeps one
+# clash bitset per matching, about count**2 / 8 bytes: 0.4 MB on L(1, 7),
+# 28 MB on L(1, 8) and 50 MB at this bound.  On K_{9,9} and K_{10,10} search
+# --budget 10 was still listing matchings after 20 s.
 MATCHINGS_MAX = 20_000
 
 
@@ -84,13 +81,6 @@ def _emit(args, payload, lines, sort_keys: bool = True) -> None:
         return
     for line in lines:
         print(line)
-
-
-def _undecided(args, key: str) -> int:
-    """Report a search whose node budget ran out before a verdict: exit 1."""
-    payload = {key: None, "error": "budget exhausted"}
-    _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
-    return 1
 
 
 def _save(parser: argparse.ArgumentParser, cert, path: str) -> None:
@@ -276,7 +266,9 @@ def _cmd_search(parser, args) -> int:
             return 0 if (count or not asserted) else 1
         found = find_perfect_partition(spec, budget=args.budget)
     except SearchBudgetExceeded:
-        return _undecided(args, "found")
+        payload = {"found": None, "error": "budget exhausted"}
+        _emit(args, payload, ["UNDECIDED: node budget exhausted"], sort_keys=False)
+        return 1
 
     if found is None:
         _emit(args, {"found": False}, ["NONE: no perfect partition exists"], sort_keys=False)
@@ -298,10 +290,7 @@ def _cmd_check(parser, args) -> int:
     spec = _graph_from_flags(parser, args)
     _require_regular(parser, spec)
     _bound_matchings(parser, spec)
-    try:
-        report = check_extendability(spec, budget=args.budget)
-    except SearchBudgetExceeded:
-        return _undecided(args, "blocked")
+    report = check_extendability(spec)
     blocked = [to_cycles(p) for p in report.blocked]
     if report.all_extendable:
         lines = [f"OK: all {report.total} matchings extend to a 1-factorization"]
@@ -362,14 +351,16 @@ def _parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", parents=[json_flag], help="matching extendability check")
     _add_graph_flags(p)
-    p.add_argument("--budget", type=int, help="per-matching search node budget")
     p.set_defaults(func=_cmd_check, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
+    if unknown:
+        # parse_args would word this with the top-level usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args.parser, args)
     except BrokenPipeError:

@@ -13,34 +13,45 @@ from .graph_model import GraphSpec, invertible_blocks, zero_blocks
 from .perm_core import Perm, cycle_type
 
 
-def _has_perfect_matching(rows: Sequence[int]) -> bool:
-    """True when the rows (column bitmasks) have a perfect matching.
+def _augment(rows: Sequence[int], images: list[int], owner: list[int], i: int, seen: int) -> int:
+    """Place row i by an augmenting path through columns outside seen: -1 when
+    placed, else seen with the columns tried, which end no path this phase."""
+    while cands := rows[i] & ~seen:
+        low = cands & -cands
+        seen |= low
+        j = low.bit_length()
+        k = owner[j - 1]
+        if k < 0 or (seen := _augment(rows, images, owner, k, seen)) < 0:
+            images[i] = j
+            owner[j - 1] = i
+            return -1
+    return seen
 
-    Kuhn's algorithm: each row in turn looks for an augmenting path, which
-    costs O(n * edges) in all, polynomial where backtracking is not.
+
+def perfect_matching(rows: Sequence[int]) -> Perm | None:
+    """A perfect matching of the rows (column bitmasks) as 1-based images, or None.
+
+    Each row first takes its lowest free column; Kuhn's augmenting paths then
+    place the rest in O(n * edges), polynomial where backtracking is not.
     """
-    owner: dict[int, int] = {}  # column bit -> the row it is matched to
-    seen = 0
-
-    def augment(i: int) -> bool:
-        nonlocal seen
-        cands = rows[i] & ~seen
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            if seen & low:
-                continue
-            seen |= low
-            if low not in owner or augment(owner[low]):
-                owner[low] = i
-                return True
-        return False
-
-    for i in range(len(rows)):
-        seen = 0
-        if not augment(i):
-            return False
-    return True
+    n = len(rows)
+    images = [0] * n
+    owner = [-1] * n  # column j - 1 -> the row whose image is j
+    used = 0
+    unplaced = []
+    for i, row in enumerate(rows):
+        free = row & ~used
+        if free:
+            low = free & -free
+            used |= low
+            images[i] = j = low.bit_length()
+            owner[j - 1] = i
+        else:
+            unplaced.append(i)
+    for i in unplaced:
+        if _augment(rows, images, owner, i, 0) >= 0:
+            return None
+    return tuple(images)
 
 
 def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
@@ -55,7 +66,7 @@ def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
     n = spec.n
     # The reach prune below misses a dead row or a Hall violation, which
     # backtracking finds only after trying every placement of the rows above.
-    if not _has_perfect_matching(spec.rows):
+    if perfect_matching(spec.rows) is None:
         return
     order = sorted(range(n), key=lambda i: spec.rows[i].bit_count())
     rows = [spec.rows[i] for i in order]

@@ -27,9 +27,8 @@ from .graph_model import (
     row_strings,
     short_repr,
 )
-from .matchings import enumerate_matchings
-from .perm_core import Perm, is_permutation
-from .search import matching_index
+from .matchings import enumerate_matchings, perfect_matching
+from .perm_core import Perm, inverse, is_permutation
 
 
 @dataclass(frozen=True)
@@ -264,47 +263,46 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
 class ExtendabilityReport:
     total: int
     blocked: list[Perm] = field(default_factory=list)
-    searched: int = 0
-    fallbacks: int = 0
+    built: int = 0
 
     @property
     def all_extendable(self) -> bool:
         return not self.blocked
 
 
-def check_extendability(spec: GraphSpec, budget: int | None = None) -> ExtendabilityReport:
+def check_extendability(spec: GraphSpec) -> ExtendabilityReport:
     """For every matching, decide whether some 1-factorization contains it.
 
-    A 1-factorization found for one matching shows that each of its members
-    extends, so its members are marked witnessed and never searched.  An
-    unwitnessed matching is searched first among the unwitnessed matchings
-    only, which keeps the cover away from matchings already settled; when that
-    finds nothing, the search is rerun over every matching, so a matching is
-    blocked only when no 1-factorization at all contains it.  König's theorem
-    says no matching of a regular bipartite graph is blocked; the rerun proves
-    each verdict rather than trusting it.  searched counts the matchings
-    searched and fallbacks the reruns.
-
-    budget bounds the search nodes spent on each matching, both tries
-    together; exceeding it raises SearchBudgetExceeded.
+    For each matching p not yet witnessed, perfect matchings are peeled off
+    the adjacency rows, p first, until no edge is left.  They form a
+    1-factorization that witnesses each member, and on a symmetric adjacency
+    the members' inverses, whose matrices are the transposes, form another.
+    By König's theorem every peel of a regular graph succeeds; a peel that
+    fails, which only a graph with no 1-factorization allows, leaves p
+    blocked.  built counts the 1-factorizations built.
     """
-    matchings, index = matching_index(spec)
-    report = ExtendabilityReport(total=len(matchings))
-    witnessed = 0
-    for k, p in enumerate(matchings):
-        if witnessed >> k & 1:
+    rows = spec.rows
+    symmetric = all(
+        (row >> j & 1) == (rows[j] >> i & 1) for i, row in enumerate(rows) for j in range(i)
+    )
+    report = ExtendabilityReport(total=0)
+    witnessed: set[Perm] = set()
+    for p in enumerate_matchings(spec):
+        report.total += 1
+        if p in witnessed:
             continue
-        report.searched += 1
-        shared = [budget] if budget is not None else None
-        cover = next(index.covers(index.all_rows & ~witnessed, (k,), shared), None)
-        if cover is None and witnessed:
-            report.fallbacks += 1
-            cover = next(index.covers(index.all_rows, (k,), shared), None)
-        if cover is None:
+        report.built += 1
+        part, rest, q = [], rows, p
+        while q is not None:
+            part.append(q)
+            rest = [row & ~(1 << x - 1) for row, x in zip(rest, q)]
+            q = perfect_matching(rest) if any(rest) else None
+        if any(rest):
             report.blocked.append(p)
             continue
-        for i in cover:
-            witnessed |= 1 << i
+        witnessed.update(part)
+        if symmetric:
+            witnessed.update(map(inverse, part))
     return report
 
 

@@ -17,6 +17,7 @@ from perfpart.matchings import (
     has_transposition_zero_pattern,
     label_l61,
     label_l82,
+    perfect_matching,
 )
 from perfpart.perm_core import inverse, parse_cycles
 
@@ -49,6 +50,24 @@ def test_enumeration_matches_brute_force(spec):
         if all(spec.adjacency(i, x) for i, x in enumerate(p, start=1))
     ]
     assert list(enumerate_matchings(spec)) == want
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    )
+)
+def test_perfect_matching_is_found_exactly_when_one_exists(rows):
+    n = len(rows)
+
+    def is_matching(p):
+        return all(rows[i] >> (x - 1) & 1 for i, x in enumerate(p))
+
+    found = perfect_matching(rows)
+    if found is None:
+        assert not any(map(is_matching, permutations(range(1, n + 1))))
+    else:
+        assert sorted(found) == list(range(1, n + 1)) and is_matching(found)
 
 
 def test_sparse_rows_are_placed_first():

@@ -1,21 +1,27 @@
 """Certificate verification: factorization checks, tamper detection, JSON I/O."""
 
+import ast
 import json
 import random
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, permutations
+from pathlib import Path
 
+import independent_check
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_extendability import reference_extendability
 
 from perfpart import verifier
+from perfpart.construct_group import knn_partition, l2nn_partition
+from perfpart.construct_l61 import build_l61
+from perfpart.construct_l82 import build_l82
 from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
-from perfpart.search import CoverIndex, edge_masks, find_factorizations
+from perfpart.search import find_factorizations
 from perfpart.tables import l41_table, t1_table
 from perfpart.verifier import PartitionCertificate
 from perfpart.verifier import (
@@ -31,6 +37,9 @@ from perfpart.verifier import (
     make_certificate,
     save_certificate,
 )
+
+
+CIRCULANT_ROWS = ["11100", "01110", "00111", "10011", "11001"]
 
 
 def kinds(violations) -> set[str]:
@@ -404,27 +413,22 @@ def test_json_round_trip_for_both_graph_kinds(l61_cert):
     assert back == cert and back.graph.kind == "matrix"
 
 
-def test_json_rejects_corruption(l61_cert):
-    obj = certificate_to_json(l61_cert)
-    with pytest.raises(ValueError, match="not a certificate"):
-        certificate_from_json({k: v for k, v in obj.items() if k != "parts"})
-    with pytest.raises(ValueError, match="degree"):
-        certificate_from_json({**obj, "degree": 4})
-    with pytest.raises(ValueError, match="contradicts"):
-        certificate_from_json({**obj, "n": 7})
-    with pytest.raises(ValueError, match="kind"):
-        certificate_from_json({**obj, "graph": {"kind": "mystery"}})
+def corruptions(obj: dict):
+    """Each corruption of the certificate JSON obj that loading must refuse,
+    with the error's wording: obj's members are 1-based image lists, the
+    second image of its first member being 1."""
+    yield {k: v for k, v in obj.items() if k != "parts"}, "not a certificate"
+    yield {**obj, "degree": 4}, "degree"
+    yield {**obj, "n": 7}, "contradicts"
+    yield {**obj, "graph": {"kind": "mystery"}}, "kind"
     first = obj["parts"][0]
-    assert first[0][1] == 1
     for bad in (
         [[2.5, *first[0][1:]], *first[1:]],
         [[str(x) for x in p] for p in first],
         [[first[0][0], True, *first[0][2:]], *first[1:]],  # bool is an int subclass
     ):
-        with pytest.raises(ValueError, match="not a certificate"):
-            certificate_from_json({**obj, "parts": [bad, *obj["parts"][1:]]})
-    with pytest.raises(ValueError, match="complete must be true or false"):
-        certificate_from_json({**obj, "complete": "false"})
+        yield {**obj, "parts": [bad, *obj["parts"][1:]]}, "not a certificate"
+    yield {**obj, "complete": "false"}, "complete must be true or false"
     # header numbers are exact integers too (6.0 == 6 and True == 1); the graph is an object
     for bad in (
         {"n": 6.0},
@@ -435,8 +439,7 @@ def test_json_rejects_corruption(l61_cert):
         {"graph": {"kind": "L", "r": "1", "m": 6}},
         {"graph": []},
     ):
-        with pytest.raises(ValueError, match="not a certificate"):
-            certificate_from_json({**obj, **bad})
+        yield {**obj, **bad}, "not a certificate"
     # matrix rows are '0'/'1' strings: numbers, booleans and cell lists once
     # read as bitmasks or cells and passed
     k22 = certificate_to_json(
@@ -444,8 +447,64 @@ def test_json_rejects_corruption(l61_cert):
     )
     assert certificate_from_json(k22).graph.rows == (0b11, 0b11)
     for rows in ([[1.0, 0], [0, True]], [1, 2], [True, 2], [[1.0, 1], [1, 1]], "1"):
-        with pytest.raises(ValueError, match="not a certificate"):
-            certificate_from_json({**k22, "graph": {"kind": "matrix", "rows": rows}})
+        yield {**k22, "graph": {"kind": "matrix", "rows": rows}}, "not a certificate"
+
+
+def test_json_rejects_corruption(l61_cert):
+    obj = certificate_to_json(l61_cert)
+    assert obj["parts"][0][0][1] == 1
+    for bad, words in corruptions(obj):
+        with pytest.raises(ValueError, match=words):
+            certificate_from_json(bad)
+
+
+def verify_accepts(obj: dict) -> bool:
+    """The verdict of perfpart verify on a certificate's JSON."""
+    try:
+        return check_partition(certificate_from_json(obj)).ok
+    except ValueError:
+        return False
+
+
+def as_read(obj: dict) -> dict:
+    """obj as json.load reads it back from a file: tuples become lists."""
+    return json.loads(json.dumps(obj))
+
+
+def test_independent_check_rejects_each_corruption(l61_cert):
+    for bad, _ in corruptions(certificate_to_json(l61_cert)):
+        assert not verify_accepts(bad)
+        assert not independent_check.accepts(as_read(bad))
+
+
+BUILDERS = {
+    "l61": build_l61,
+    "l82": build_l82,
+    **{f"knn:{n}": partial(knn_partition, n) for n in range(1, 9)},
+    **{f"l2nn:{n}": partial(l2nn_partition, n) for n in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("target", BUILDERS)
+def test_independent_check_agrees_on_every_built_certificate(target):
+    cert = BUILDERS[target]()
+    obj = as_read(certificate_to_json(cert))
+    assert independent_check.accepts(obj) == verify_accepts(obj) is True
+    # the partition less its first part: complete is then a false claim
+    partial_obj = {**obj, "parts": obj["parts"][1:]}
+    for complete in (True, False):
+        claim = {**partial_obj, "complete": complete}
+        assert independent_check.accepts(claim) == verify_accepts(claim) == (not complete)
+
+
+def test_independent_check_agrees_on_tampered_parts(l61_cert):
+    swapped = [list(p) for p in l61_cert.parts]
+    swapped[0][0], swapped[1][0] = swapped[1][0], swapped[0][0]
+    repeated = [*l61_cert.parts[:2], l61_cert.parts[0]]  # each part is valid
+    for parts in (swapped, repeated):
+        cert = PartitionCertificate(l61_cert.graph, False, tuple(map(tuple, parts)))
+        obj = as_read(certificate_to_json(cert))
+        assert independent_check.accepts(obj) == verify_accepts(obj) is False
 
 
 def test_save_load_is_byte_stable(tmp_path, l61_cert):
@@ -472,14 +531,49 @@ def test_extendability_of_l24():
     assert report.total == 4752 and report.all_extendable
 
 
-@pytest.mark.parametrize(
-    "spec, searched, fallbacks",
-    [(l_graph(1, 6), 68, 21), (l_graph(0, n=6), 169, 61)],
-)
-def test_extendability_searches_only_unwitnessed_matchings(spec, searched, fallbacks):
+@pytest.mark.parametrize("spec, built", [(l_graph(1, 6), 70), (l_graph(0, n=6), 238)])
+def test_extendability_builds_factorizations_for_unwitnessed_matchings_only(spec, built):
+    # each factorization built witnesses its members and, on these symmetric
+    # graphs, their inverses; the build is deterministic
     report = check_extendability(spec)
     assert report.all_extendable
-    assert (report.searched, report.fallbacks) == (searched, fallbacks)
+    assert report.built == built
+
+
+# the 3-regular 5x5 circulant, and a relabelling of it on which marking the
+# inverses witnessed would build 5 factorizations: neither is symmetric
+@pytest.mark.parametrize(
+    "rows", [CIRCULANT_ROWS, ["11001", "10101", "00111", "01110", "11010"]]
+)
+def test_extendability_of_a_non_symmetric_graph_takes_no_inverses(rows):
+    spec = from_matrix(rows)
+    report = check_extendability(spec)
+    want = reference_extendability(spec)
+    assert (report.total, report.blocked) == (want.total, want.blocked) == (13, [])
+    assert report.built == 6
+
+
+def test_extendability_blocks_every_matching_of_a_graph_that_is_not_regular():
+    # no 1-factorization exists, so each peel strands an edge; König's
+    # theorem rules that out on a regular graph
+    spec = from_matrix(["110", "011", "111"])
+    report = check_extendability(spec)
+    assert report.blocked == list(enumerate_matchings(spec)) == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+    assert report.total == report.built == 3
+
+
+def test_verifier_imports_nothing_from_search():
+    tree = ast.parse(Path(verifier.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "perfpart.matchings" in names or "matchings" in names
+    assert not [name for name in names if "search" in name.split(".")]
 
 
 @st.composite
@@ -505,21 +599,4 @@ def test_extendability_matches_one_search_per_matching(spec):
     report = check_extendability(spec)
     want = reference_extendability(spec)
     assert (report.total, report.blocked) == (want.total, want.blocked)
-    assert report.fallbacks <= report.searched <= report.total
-
-
-def test_extendability_reruns_a_missed_search_over_every_matching(monkeypatch):
-    # K_{3,3} has two 1-factorizations, the even and the odd permutations.
-    # Without (3 2 1) the two other odd ones are in none: each misses among
-    # the unwitnessed matchings, then again over all of them.
-    spec = l_graph(0, n=3)
-    kept = [p for p in enumerate_matchings(spec) if p != (3, 2, 1)]
-    monkeypatch.setattr(
-        verifier,
-        "matching_index",
-        lambda spec: (kept, CoverIndex(9, edge_masks(spec, kept))),
-    )
-    report = check_extendability(spec)
-    assert report.total == 5
-    assert report.blocked == [(1, 3, 2), (2, 1, 3)]
-    assert (report.searched, report.fallbacks) == (3, 2)
+    assert report.built <= report.total
