@@ -530,6 +530,19 @@ def test_check_extendability(run):
     assert code == 0 and json.loads(out) == {"total": 9, "blocked": []}
 
 
+def test_check_of_the_largest_matrix_is_quick(run, tmp_path):
+    """The 64 x 64 identity is the largest matrix from_matrix accepts, and
+    every one of its 64 shifts (a, a) passes the first-row filter, so each
+    costs a full check of the rows."""
+    path = tmp_path / "identity64.txt"
+    path.write_text("".join("0" * i + "1" + "0" * (63 - i) + "\n" for i in range(64)))
+    start = time.perf_counter()
+    code, out = run("check", "--matrix", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.strip() == "OK: all 1 matchings extend to a 1-factorization"
+
+
 def test_json_key_order_is_pinned(run, circulant_file, tmp_path):
     """search, enumerate and the unreadable-certificate line of verify keep
     their keys in insertion order; the other payloads sort them."""
