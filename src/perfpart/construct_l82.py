@@ -5,7 +5,8 @@ blocks with zero diagonal blocks.  Every off-diagonal block is zero, a
 single-one E-block, or invertible (I2/R2), and the count of invertible
 blocks sorts the 4752 matchings into S0 (none; 2304, of which the 768 in
 S0_1 have their four zero blocks on a transposition pair), S1 (one; 1536),
-S2 (two; 768), and S4 (four; 144).  Three part families exhaust them:
+S2 (two; 768), and S4 (four; 144); matchings.ledger_l82 names the class of
+each.  Three part families exhaust them:
 
   * Type I   (build_type1): 384 parts, each two S0_1 members P, Q that are
     blockwise complements plus four S1 members S, T, U, V derived by
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import product
 
 from .graph_model import GraphSpec, l_graph
-from .matchings import classify_l82, enumerate_matchings
+from .matchings import L82_LEDGER, enumerate_matchings, ledger_l82
 from .perm_core import Perm, is_permutation
 from .tables import l41_table
 from .verifier import PartitionCertificate, check_factorization, make_certificate
@@ -86,19 +87,16 @@ def _graph() -> GraphSpec:
 
 
 @lru_cache(maxsize=None)
-def _classes() -> dict[str, tuple[Perm, ...]]:
-    return {k: tuple(v) for k, v in classify_l82(enumerate_matchings(_graph())).items()}
-
-
-@lru_cache(maxsize=None)
 def _labels() -> dict[Perm, str]:
-    """The ledger class of every matching: S0_1, S0_rest (S0 minus S0_1),
-    S1, S2 or S4.  A permutation missing here is no matching of L(2, 4)."""
-    classes = _classes()
-    table = dict.fromkeys(classes["S0"], "S0_rest")
-    for lab in ("S0_1", "S1", "S2", "S4"):
-        table.update(dict.fromkeys(classes[lab], lab))
-    return table
+    """The ledger_l82 class of every matching of L(2, 4): S0_1, S0_rest
+    (S0 minus S0_1), S1, S2 or S4.  A permutation missing here is no
+    matching of L(2, 4)."""
+    return {p: ledger_l82(p) for p in enumerate_matchings(_graph())}
+
+
+def _group(label: str) -> set[Perm]:
+    """The matchings _labels puts in one class."""
+    return {p for p, lab in _labels().items() if lab == label}
 
 
 def _by_row(pair: tuple[EBlock, EBlock], a: int) -> EBlock:
@@ -236,8 +234,8 @@ def build_type1() -> list[tuple[Perm, ...]]:
     s01_used = [m for p in parts for m in p[:2]]
     s1_used = [m for p in parts for m in p[2:]]
     assert len(set(s01_used)) == 768 and len(set(s1_used)) == 1536
-    assert set(s01_used) == set(_classes()["S0_1"])
-    assert set(s1_used) == set(_classes()["S1"])
+    assert set(s01_used) == _group("S0_1")
+    assert set(s1_used) == _group("S1")
     return parts
 
 
@@ -403,8 +401,8 @@ def build_type2() -> list[tuple[Perm, ...]]:
     s2_used = [m for p in parts for m in p if labels.get(m) == "S2"]
     assert len(s0_used) == len(set(s0_used)) == 1536
     assert len(s2_used) == len(set(s2_used)) == 768
-    assert set(s0_used) == set(_classes()["S0"]) - set(_classes()["S0_1"])
-    assert set(s2_used) == set(_classes()["S2"])
+    assert set(s0_used) == _group("S0_rest")
+    assert set(s2_used) == _group("S2")
     return parts
 
 
@@ -446,7 +444,7 @@ def build_type3() -> list[tuple[Perm, ...]]:
     assert len(parts) == 24
     flat = [m for p in parts for m in p]
     assert len(flat) == len(set(flat)) == 144
-    assert set(flat) == set(_classes()["S4"])
+    assert set(flat) == _group("S4")
     return parts
 
 
@@ -456,16 +454,7 @@ def classify_parts(parts) -> dict[str, int]:
     Every member must be a matching of L(2, 4), as every part build_l82
     emits is.
     """
-    out = {
-        "type1_parts": 0,
-        "type2_parts": 0,
-        "type3_parts": 0,
-        "S0_1": 0,
-        "S0_rest": 0,
-        "S1": 0,
-        "S2": 0,
-        "S4": 0,
-    }
+    out = dict.fromkeys(("type1_parts", "type2_parts", "type3_parts", *L82_LEDGER), 0)
     labels = _labels()
     for part in parts:
         part_labels = [labels[tuple(m)] for m in part]

@@ -151,19 +151,3 @@ def invertible_blocks(p: Perm) -> list[tuple[int, int]]:
             out.append((bi + 1, (a + 1) >> 1))
     return out
 
-
-def zero_blocks(p: Perm) -> list[tuple[int, int]]:
-    """1-based off-diagonal block positions whose 2x2 cell is all zero.
-
-    A cell is zero exactly when neither image of its block row lands in its
-    block column.
-    """
-    if len(p) != 8:
-        raise ValueError("block view is defined for n = 8")
-    out = []
-    for bi in range(4):
-        hit = 1 << ((p[2 * bi] - 1) >> 1) | 1 << ((p[2 * bi + 1] - 1) >> 1)
-        out.extend(
-            (bi + 1, bj + 1) for bj in range(4) if bj != bi and not hit >> bj & 1
-        )
-    return out

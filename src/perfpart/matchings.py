@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .graph_model import GraphSpec, invertible_blocks, zero_blocks
+from .graph_model import GraphSpec, invertible_blocks
 from .perm_core import Perm, cycle_type
 
 
@@ -146,10 +146,13 @@ def census_l61(classes: dict[str, list[Perm]]) -> tuple[int, int, int, int, int]
 
 
 # L(2, 4) block classes by number of invertible (I2 or R2) 2x2 blocks.
-# S0_1 is the subset of S0 whose zero-block pattern is a product of two
-# disjoint block transpositions rather than a block 4-cycle.
+# ledger_l82 splits S0 into S0_1, whose four zero blocks pair up
+# symmetrically (two disjoint block transpositions), and S0_rest, whose zero
+# blocks lie on a block 4-cycle: L82_LEDGER, the classes the L(2, 4) build
+# uses up.
 
 L82_LABELS = ("S0", "S1", "S2", "S4")
+L82_LEDGER = ("S0_1", "S0_rest", "S1", "S2", "S4")
 
 
 def label_l82(p: Perm) -> str:
@@ -159,22 +162,29 @@ def label_l82(p: Perm) -> str:
     return f"S{k}"
 
 
-def has_transposition_zero_pattern(p: Perm) -> bool:
-    """True for S0 members whose four zero blocks pair up symmetrically."""
-    zeros = set(zero_blocks(p))
-    if len(zeros) != 4:
-        return False
-    return all((j, i) in zeros for (i, j) in zeros)
+def ledger_l82(p: Perm) -> str:
+    """The L82_LEDGER class of a matching of L(2, 4).
+
+    An S0 matching's block row bi (0-based) sends its two images into two
+    different off-diagonal block columns, so it misses exactly one, z(bi) =
+    6 - bi - the two.  z is a derangement of the block rows, and the
+    matching is in S0_1 exactly when z is an involution.
+    """
+    lab = label_l82(p)
+    if lab != "S0":
+        return lab
+    z = [6 - bi - ((p[2 * bi] - 1) >> 1) - ((p[2 * bi + 1] - 1) >> 1) for bi in range(4)]
+    return "S0_1" if all(z[z[bi]] == bi for bi in range(4)) else "S0_rest"
 
 
 def classify_l82(perms: Iterable[Perm]) -> dict[str, list[Perm]]:
-    out: dict[str, list[Perm]] = {lab: [] for lab in L82_LABELS}
-    out["S0_1"] = []
+    """The matchings of each of S0, S1, S2 and S4, then of S0_1, in input order."""
+    out: dict[str, list[Perm]] = {lab: [] for lab in (*L82_LABELS, "S0_1")}
     for p in perms:
-        lab = label_l82(p)
-        out[lab].append(p)
-        if lab == "S0" and has_transposition_zero_pattern(p):
-            out["S0_1"].append(p)
+        lab = ledger_l82(p)
+        out[lab[:2]].append(p)
+        if lab == "S0_1":
+            out[lab].append(p)
     return out
 
 

@@ -1,8 +1,8 @@
 """The 2x2 block view of a degree-8 permutation, a test reference.
 
-graph_model.invertible_blocks and zero_blocks read the same cells straight
-from the images; the tests check them and the L(2, 4) builders against this
-dense view.
+graph_model.invertible_blocks and matchings.ledger_l82 read the same cells
+straight from the images; the tests check them and the L(2, 4) builders
+against this dense view and the zero blocks and ledger class read off it.
 """
 
 Block = tuple[tuple[int, int], tuple[int, int]]
@@ -31,3 +31,23 @@ def block_view(p: tuple[int, ...]) -> tuple[tuple[Block, ...], ...]:
             )
         out.append(tuple(row))
     return tuple(out)
+
+
+def oracle_zero_blocks(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """1-based off-diagonal block positions whose 2x2 cell is all zero."""
+    view = block_view(p)
+    return [
+        (i + 1, j + 1) for i in range(4) for j in range(4) if i != j and view[i][j] == O2
+    ]
+
+
+def block_label(p: tuple[int, ...]) -> str:
+    """The ledger class of an L(2, 4) matching, read off the dense view: S<k>
+    for k invertible cells, with S0 split into S0_1, whose four zero blocks
+    pair up symmetrically, and S0_rest."""
+    view = block_view(p)
+    k = sum(cell in (I2, R2) for row in view for cell in row)
+    if k:
+        return f"S{k}"
+    zeros = set(oracle_zero_blocks(p))
+    return "S0_1" if len(zeros) == 4 and all((j, i) in zeros for i, j in zeros) else "S0_rest"

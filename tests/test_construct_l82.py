@@ -25,9 +25,9 @@ from perfpart.construct_l82 import (
     type2_families,
     type2_literal_diagnostic,
 )
-from blocks import block_view
-from perfpart.graph_model import invertible_blocks, l_graph, zero_blocks
-from perfpart.matchings import enumerate_matchings, has_transposition_zero_pattern, label_l82
+from blocks import block_label, block_view, oracle_zero_blocks
+from perfpart.graph_model import invertible_blocks, l_graph
+from perfpart.matchings import enumerate_matchings, label_l82
 from perfpart.verifier import check_factorization, check_partition
 
 
@@ -48,13 +48,6 @@ def perm_grid(p):
         pos, cell = ((row + 1) // 2, (x + 1) // 2), ((row - 1) % 2 + 1, (x - 1) % 2 + 1)
         grid[pos] = (grid[pos], cell) if pos in grid else cell
     return grid
-
-
-def block_label(m):
-    lab = label_l82(m)
-    if lab == "S0":
-        return "S0_1" if has_transposition_zero_pattern(m) else "S0_rest"
-    return lab
 
 
 def test_label_table_matches_the_block_labels():
@@ -106,14 +99,11 @@ def test_type1_part_structure():
         part = type1_part(pattern, free)
         assert len(part) == 6
         assert check_factorization(graph, part) == []
-        for m in part[:2]:
-            assert label_l82(m) == "S0" and has_transposition_zero_pattern(m)
-        for m in part[2:]:
-            assert label_l82(m) == "S1"
+        assert [block_label(m) for m in part] == ["S0_1"] * 2 + ["S1"] * 4
         # P and Q share the zero pattern and complement each other blockwise
         i, j, k = pattern
-        assert zero_blocks(part[0]) == zero_blocks(part[1])
-        assert set(zero_blocks(part[0])) == {(1, i), (i, 1), (j, k), (k, j)}
+        assert oracle_zero_blocks(part[0]) == oracle_zero_blocks(part[1])
+        assert set(oracle_zero_blocks(part[0])) == {(1, i), (i, 1), (j, k), (k, j)}
         for pos in ((1, j), (i, k), (j, 1), (k, i)):
             assert grid_block(part[1], pos) == e_complement(grid_block(part[0], pos))
         # S, T, U, V carry their invertible block at (1, i), (i, 1), (j, k), (k, j)
@@ -123,7 +113,7 @@ def test_type1_part_structure():
 def test_type1_rebuild_from_stored_blocks(type1_parts):
     """The first member alone determines the whole part."""
     for part in type1_parts[::17]:
-        zeros = set(zero_blocks(part[0]))
+        zeros = set(oracle_zero_blocks(part[0]))
         i = next(b for (a, b) in zeros if a == 1)
         j, k = sorted({2, 3, 4} - {i})
         pattern = (i, j, k)
@@ -159,10 +149,8 @@ def test_type2_families_structure():
     for fam in (fam_a, fam_b):
         assert len(fam) == 6
         assert check_factorization(l_graph(2, 4), fam) == []
-        labels = sorted(label_l82(m) for m in fam)
-        assert labels == ["S0", "S0", "S0", "S0", "S2", "S2"]
-        for m in fam:
-            assert not has_transposition_zero_pattern(m)
+        labels = sorted(block_label(m) for m in fam)
+        assert labels == ["S0_rest"] * 4 + ["S2"] * 2
     assert not set(fam_a) & set(fam_b)
 
 
@@ -279,7 +267,7 @@ def test_type2_pairs_come_from_the_residual_decompositions(type2_sweep):
         members = tuple(m for m in part if label_l82(m) == "S0")
         own = tuple(m for m in part if label_l82(m) == "S2")
         _, i, j, _ = cycle
-        cycle_zero = [m for m in members if (1, i) in zero_blocks(m)]
+        cycle_zero = [m for m in members if (1, i) in oracle_zero_blocks(m)]
         assert len(cycle_zero) == 2
         diagonal = [
             {grid_block(m, pos) for m in cycle_zero} == {E11, E22} for pos in ((1, j), (j, 1))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blocks import I2, O2, R2, block_view
+from blocks import I2, O2, R2, block_view, oracle_zero_blocks
 from perfpart.graph_model import (
     degree,
     from_matrix,
@@ -12,7 +12,6 @@ from perfpart.graph_model import (
     is_matching,
     l_graph,
     row_strings,
-    zero_blocks,
 )
 from perfpart.matchings import enumerate_matchings
 
@@ -108,7 +107,7 @@ def test_block_view_shape_and_content():
     assert view[2][3] == I2 and view[3][2] == I2
     assert view[0][0] == O2
     assert invertible_blocks(p) == [(1, 2), (2, 1), (3, 4), (4, 3)]
-    assert zero_blocks(p) == [
+    assert oracle_zero_blocks(p) == [
         (1, 3), (1, 4), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2),
     ]
 
@@ -144,29 +143,18 @@ def oracle_invertible_blocks(p):
     return [(i + 1, j + 1) for i in range(4) for j in range(4) if view[i][j] in (I2, R2)]
 
 
-def oracle_zero_blocks(p):
-    view = block_view(p)
-    return [
-        (i + 1, j + 1) for i in range(4) for j in range(4) if i != j and view[i][j] == O2
-    ]
-
-
 def test_block_kernels_match_the_block_view_on_every_l24_matching():
     matchings = list(enumerate_matchings(l_graph(2, 4)))
     assert len(matchings) == 4752
     for p in matchings:
         assert invertible_blocks(p) == oracle_invertible_blocks(p)
-        assert zero_blocks(p) == oracle_zero_blocks(p)
 
 
 @given(st.permutations(list(range(1, 9))).map(tuple))
 def test_block_kernels_match_the_block_view_on_s8(p):
     assert invertible_blocks(p) == oracle_invertible_blocks(p)
-    assert zero_blocks(p) == oracle_zero_blocks(p)
 
 
 def test_block_kernels_need_degree_8():
     with pytest.raises(ValueError):
         invertible_blocks((2, 1, 4, 3))
-    with pytest.raises(ValueError):
-        zero_blocks((2, 1, 4, 3))

@@ -1,22 +1,26 @@
 """Matching enumeration and the two classification schemes."""
 
+import random
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blocks import block_label
 from perfpart.counting import ryser_permanent
 from perfpart.graph_model import from_matrix, invertible_blocks, l_graph
 from perfpart.matchings import (
     census_l61,
     census_l82,
+    classify_l82,
     count_by_enumeration,
     enumerate_matchings,
-    has_transposition_zero_pattern,
     label_l61,
     label_l82,
+    ledger_l82,
     perfect_matching,
 )
 from perfpart.perm_core import inverse, parse_cycles
@@ -140,10 +144,35 @@ def test_no_matching_has_three_invertible_blocks(l82_classes):
 
 
 def test_s0_split_by_zero_pattern(l82_classes):
+    """S0_1 is the part of S0 whose four zero blocks, in the dense block
+    view, pair up symmetrically."""
     s01 = set(l82_classes["S0_1"])
     assert s01 <= set(l82_classes["S0"])
     for p in l82_classes["S0"]:
-        assert has_transposition_zero_pattern(p) == (p in s01)
-    # members outside S0 never qualify: they have fewer than four zero blocks
+        assert (block_label(p) == "S0_1") == (p in s01)
     for lab in ("S1", "S2", "S4"):
-        assert not any(has_transposition_zero_pattern(p) for p in l82_classes[lab])
+        assert all(block_label(p) == lab for p in l82_classes[lab])
+
+
+def test_ledger_l82_matches_the_block_view_on_every_l24_matching():
+    matchings = list(enumerate_matchings(l_graph(2, 4)))
+    assert len(matchings) == 4752
+    assert all(ledger_l82(p) == block_label(p) for p in matchings)
+    assert Counter(map(ledger_l82, matchings)) == {
+        "S0_1": 768, "S0_rest": 1536, "S1": 1536, "S2": 768, "S4": 144
+    }
+
+
+def test_ledger_l82_needs_degree_8():
+    for p in ((2, 1, 4, 3), (3, 4, 1, 2, 7, 8, 5, 6, 9), ()):
+        with pytest.raises(ValueError):
+            ledger_l82(p)
+
+
+def test_classify_l82_keeps_the_input_order():
+    matchings = list(enumerate_matchings(l_graph(2, 4)))
+    random.Random(20).shuffle(matchings)
+    classes = classify_l82(matchings)
+    assert list(classes) == ["S0", "S1", "S2", "S4", "S0_1"]
+    for lab, members in classes.items():
+        assert members == [p for p in matchings if block_label(p).startswith(lab)]
