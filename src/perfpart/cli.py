@@ -45,16 +45,14 @@ GROUP_TARGETS = {"knn:": (knn_partition, 9), "l2nn:": (l2nn_partition, 6)}
 # n = 18, 6.46 s at n = 20 and 24.7 s at n = 22 (2-CPU VM, Python 3.11).
 PERMANENT_MAX_N = 20
 
-# Most matchings a graph may have for enumerate, search and check, which list
-# them (check stops early only on an L graph, at its closed-form count).
-# check builds a 1-factorization for 3-9% of the matchings, the rest being
-# images of those under the graph's cyclic shifts: the CLI took 0.16 s CPU on
-# L(2, 4) (4,752 matchings), 0.25 s on L(3, 3) (12,096) and 0.20 s on L(1, 8)
-# (14,833), peaking at 16-18 MB RSS (medians of five runs, 2-CPU VM,
-# Python 3.11).  search's exact-cover index keeps one clash bitset per
-# matching, about count**2 / 8 bytes: 0.4 MB on L(1, 7), 28 MB on L(1, 8) and
-# 50 MB at this bound.  On K_{9,9} and K_{10,10} search --budget 10 was still
-# listing matchings after 20 s.
+# Most matchings a graph may have for enumerate and search, which list them,
+# and check, which counts them (a matrix by listing, an L graph by its closed
+# form: the CLI took 0.09-0.11 s CPU on L(2, 4), L(3, 3) and L(1, 8), almost
+# all of it the import; medians of five runs, 2-CPU VM, Python 3.11).
+# search's exact-cover index keeps one clash bitset per matching, about
+# count**2 / 8 bytes: 0.4 MB on L(1, 7), 28 MB on L(1, 8) and 50 MB at this
+# bound.  On K_{9,9} and K_{10,10} search --budget 10 was still listing
+# matchings after 20 s.
 MATCHINGS_MAX = 20_000
 
 

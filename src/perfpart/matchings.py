@@ -156,6 +156,10 @@ L82_LEDGER = ("S0_1", "S0_rest", "S1", "S2", "S4")
 
 
 def label_l82(p: Perm) -> str:
+    """S0, S1, S2 or S4 by the invertible 2x2 blocks of p, a matching of
+    L(2, 4).  p is not checked (certify labels thousands per pass); on another
+    permutation of 8 the label means nothing: the identity is named S4.
+    """
     k = len(invertible_blocks(p))
     if k not in (0, 1, 2, 4):
         raise ValueError(f"impossible invertible-block count {k}")
@@ -169,6 +173,9 @@ def ledger_l82(p: Perm) -> str:
     different off-diagonal block columns, so it misses exactly one, z(bi) =
     6 - bi - the two.  z is a derangement of the block rows, and the
     matching is in S0_1 exactly when z is an involution.
+
+    p must be a matching of L(2, 4), unchecked as in label_l82; on another
+    permutation of 8, z can leave range(4) and raise IndexError.
     """
     lab = label_l82(p)
     if lab != "S0":

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice
 
@@ -27,8 +28,8 @@ from .graph_model import (
     row_strings,
     short_repr,
 )
-from .matchings import enumerate_matchings, perfect_matching
-from .perm_core import Perm, inverse, is_permutation
+from .matchings import enumerate_matchings
+from .perm_core import Perm, is_permutation
 
 
 @dataclass(frozen=True)
@@ -263,101 +264,30 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
 class ExtendabilityReport:
     total: int
     blocked: list[Perm] = field(default_factory=list)
-    built: int = 0
 
     @property
     def all_extendable(self) -> bool:
         return not self.blocked
 
 
-def _shifts(rows: Sequence[int]) -> list[tuple[int, int]]:
-    """Every (a, b) for which row i -> i+a and column j -> j+b (mod n)
-    preserve the adjacency; the identity (0, 0) is always one.
-
-    Row 0 must go to a row equal to it rotated by b, so only those a are
-    tried: on a 64 x 64 permutation matrix that is one a per b.
-    """
-    n = len(rows)
-    full = (1 << n) - 1
-
-    def rotate(row: int, b: int) -> int:
-        return (row << b | row >> n - b) & full
-
-    return [
-        (a, b)
-        for b in range(n)
-        for a in range(n)
-        if rows[a] == rotate(rows[0], b)
-        and all(rows[(i + a) % n] == rotate(row, b) for i, row in enumerate(rows))
-    ]
-
-
-def _shifted(seeds: Sequence[Perm], shifts: Sequence[tuple[int, int]]) -> Iterator[Perm]:
-    """The image of every seed under every shift (a, b), seeds innermost:
-    edge (i, q(i)) moves to (i + a, q(i) + b), mod n."""
-    n = len(seeds[0])
-    for a, b in shifts:
-        column = (0, *range(b + 1, n + 1), *range(1, b + 1)).__getitem__
-        for q in seeds:
-            yield tuple(map(column, q[n - a :] + q[: n - a]))
-
-
-def _peel(rows: Sequence[int], p: Perm) -> list[Perm] | None:
-    """Perfect matchings peeled off the adjacency rows, p first, until no
-    edge is left; None when a peel finds no perfect matching and strands an
-    edge."""
-    part, rest, q = [], rows, p
-    while q is not None:
-        part.append(q)
-        rest = [row & ~(1 << x - 1) for row, x in zip(rest, q)]
-        q = perfect_matching(rest) if any(rest) else None
-    return None if any(rest) else part
-
-
 def check_extendability(spec: GraphSpec) -> ExtendabilityReport:
     """For every matching, decide whether some 1-factorization contains it.
 
-    For each matching p not yet witnessed, _peel builds a 1-factorization
-    whose first member is p.  Each verified shift (_shifts) preserves the
-    adjacency, so it maps that 1-factorization to another, and on a
-    symmetric adjacency so does the transpose, which maps each member to its
-    inverse.  The shifts form a group, closed under the transpose when it
-    applies, and every member not yet witnessed is witnessed with its whole
-    orbit under that group, so the witnessed set is always a union of
-    orbits and no orbit is built twice.  By König's theorem every peel of a
-    regular graph succeeds; a peel that fails, which only a graph with no
-    1-factorization allows, leaves p blocked.  built counts the peels.
-
-    Every witnessed tuple is a matching of spec, so once as many are
-    witnessed as the closed form counts, every matching is, and the
-    enumeration stops with total set to that count.  A matrix has no closed
-    form and is enumerated to its last matching.
+    The answer is a theorem, so nothing is listed or built on a regular
+    graph.  A 1-factorization covers each vertex once per member, so a graph
+    that is not regular has none, and every matching of it is blocked.  On a
+    d-regular bipartite graph every matching p extends: the graph less p is
+    (d - 1)-regular, and by König's edge-colouring theorem (1916) it splits
+    into d - 1 perfect matchings.  total is then the matching count:
+    the closed form of an L graph, or the enumerated count of a matrix.
     """
-    rows = spec.rows
-    symmetric = all(
-        (row >> j & 1) == (rows[j] >> i & 1) for i, row in enumerate(rows) for j in range(i)
-    )
-    shifts = _shifts(rows)
-    count = closed_count(spec)
-    report = ExtendabilityReport(total=0)
-    witnessed: set[Perm] = set()
-    for p in enumerate_matchings(spec):
-        report.total += 1
-        if p in witnessed:
-            continue
-        report.built += 1
-        part = _peel(rows, p)
-        if part is None:
-            report.blocked.append(p)
-            continue
-        for q in part:
-            if q not in witnessed:
-                seeds = (q, inverse(q)) if symmetric else (q,)
-                witnessed.update(_shifted(seeds, shifts))
-        if len(witnessed) == count:
-            report.total = count
-            break
-    return report
+    try:
+        degree(spec)
+    except ValueError:
+        blocked = list(enumerate_matchings(spec))
+        return ExtendabilityReport(total=len(blocked), blocked=blocked)
+    # no count reaches sys.maxsize, so this limit never truncates one
+    return ExtendabilityReport(total=count_up_to(spec, sys.maxsize - 1))
 
 
 # --- certificate JSON (the on-disk interface) ---

@@ -1,17 +1,21 @@
 """The one-search-per-matching extendability loop that check_extendability must agree with.
 
-It runs one exact-cover search over every matching for each matching, with
-that matching forced in, and keeps nothing between searches.  Tests require
-check_extendability to give the same total and the same blocked list.
+It runs one exact-cover search of the graph's edges by its matchings for each
+matching, with that matching forced in, and keeps nothing between searches.
+It assumes nothing about degrees, so on a graph that is not regular the
+search itself finds that no cover exists.  Tests require check_extendability
+to give the same total and the same blocked list.
 """
 
 from perfpart.graph_model import GraphSpec
-from perfpart.search import matching_index
+from perfpart.matchings import enumerate_matchings
+from perfpart.search import CoverIndex, edge_masks
 from perfpart.verifier import ExtendabilityReport
 
 
 def reference_extendability(spec: GraphSpec) -> ExtendabilityReport:
-    matchings, index = matching_index(spec)
+    matchings = list(enumerate_matchings(spec))
+    index = CoverIndex(len(spec.edges()), edge_masks(spec, matchings))
     blocked = []
     for k, p in enumerate(matchings):
         if next(index.covers(index.all_rows, (k,)), None) is None:

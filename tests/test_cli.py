@@ -531,9 +531,9 @@ def test_check_extendability(run):
 
 
 def test_check_reports_blocked_matchings(run, monkeypatch):
-    """check_extendability can report blocked matchings (a peel fails on an
-    irregular matrix), though check refuses every graph where that happens;
-    a stand-in report shows how the CLI words and exits on one."""
+    """check_extendability can report blocked matchings (every matching of a
+    graph that is not regular), though check refuses every such graph; a
+    stand-in report shows how the CLI words and exits on one."""
     calls = []
 
     def one_blocked(spec):
@@ -551,9 +551,8 @@ def test_check_reports_blocked_matchings(run, monkeypatch):
 
 
 def test_check_of_the_largest_matrix_is_quick(run, tmp_path):
-    """The 64 x 64 identity is the largest matrix from_matrix accepts, and
-    every one of its 64 shifts (a, a) passes the first-row filter, so each
-    costs a full check of the rows."""
+    """The 64 x 64 identity is the largest matrix from_matrix accepts; check
+    counts its one matching by enumerating it."""
     path = tmp_path / "identity64.txt"
     path.write_text("".join("0" * i + "1" + "0" * (63 - i) + "\n" for i in range(64)))
     start = time.perf_counter()

@@ -14,23 +14,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_extendability import reference_extendability
 
-from perfpart import verifier
+from perfpart import counting, verifier
 from perfpart.construct_group import knn_partition, l2nn_partition
 from perfpart.construct_l61 import build_l61
 from perfpart.construct_l82 import build_l82
 from perfpart.graph_model import GraphSpec, degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
-from perfpart.perm_core import inverse, parse_cycles
+from perfpart.perm_core import parse_cycles
 from perfpart.search import find_factorizations
 from perfpart.tables import l41_table, t1_table
 from perfpart.verifier import PartitionCertificate
 from perfpart.verifier import (
     _factorization_violations,
     _is_factorization,
-    _peel,
     _row_sets,
-    _shifted,
-    _shifts,
     certificate_from_json,
     certificate_to_json,
     check_extendability,
@@ -534,22 +531,8 @@ def test_extendability_of_l24():
     assert report.total == 4752 and report.all_extendable
 
 
-@pytest.mark.parametrize(
-    "spec, built", [(l_graph(1, 6), 18), (l_graph(0, n=6), 9)], ids=["l16", "k66"]
-)
-def test_extendability_builds_factorizations_for_unwitnessed_matchings_only(spec, built):
-    # each factorization built witnesses the orbits of its members under the
-    # verified shifts and, on these symmetric graphs, the transpose (6 and 36
-    # shifts); the build is deterministic
-    report = check_extendability(spec)
-    assert report.all_extendable
-    assert report.built == built
-
-
-# the 3-regular 5x5 circulant, and a relabelling of it on which marking the
-# inverses witnessed would build 5 factorizations: neither is symmetric.  The
-# circulant's five shifts (a, a) leave 2 builds; the relabelling has only the
-# identity shift and builds 6.
+# the 3-regular 5x5 circulant and a relabelling of it: neither is symmetric,
+# and both agree with the one-search-per-matching oracle
 @pytest.mark.parametrize(
     "rows", [CIRCULANT_ROWS, ["11001", "10101", "00111", "01110", "11010"]]
 )
@@ -558,16 +541,14 @@ def test_extendability_of_a_non_symmetric_graph_takes_no_inverses(rows):
     report = check_extendability(spec)
     want = reference_extendability(spec)
     assert (report.total, report.blocked) == (want.total, want.blocked) == (13, [])
-    assert report.built == (2 if rows == CIRCULANT_ROWS else 6)
 
 
 def test_extendability_blocks_every_matching_of_a_graph_that_is_not_regular():
-    # no 1-factorization exists, so each peel strands an edge; König's
-    # theorem rules that out on a regular graph
+    # a 1-factorization needs a regular graph, so no matching extends
     spec = from_matrix(["110", "011", "111"])
     report = check_extendability(spec)
     assert report.blocked == list(enumerate_matchings(spec)) == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
-    assert report.total == report.built == 3
+    assert report.total == 3
 
 
 def test_verifier_imports_nothing_from_search():
@@ -602,94 +583,21 @@ def regular_graphs(draw):
 SMALL_REGULAR = [l_graph(1, 4), l_graph(3, 2), l_graph(2, 3), l_graph(0, n=4)]
 
 
-@given(st.sampled_from(SMALL_REGULAR) | regular_graphs())
+@st.composite
+def zero_one_matrices(draw):
+    """Any n x n 0/1 matrix with n <= 5, regular or not."""
+    n = draw(st.integers(1, 5))
+    return GraphSpec(tuple(draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))))
+
+
+@given(st.sampled_from(SMALL_REGULAR) | regular_graphs() | zero_one_matrices())
 def test_extendability_matches_one_search_per_matching(spec):
     report = check_extendability(spec)
     want = reference_extendability(spec)
     assert (report.total, report.blocked) == (want.total, want.blocked)
-    assert report.built <= report.total
 
 
-def brute_force_shifts(spec):
-    n = spec.n
-    return [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if all(
-            spec.adjacency(i + 1, j + 1) == spec.adjacency((i + a) % n + 1, (j + b) % n + 1)
-            for i in range(n)
-            for j in range(n)
-        )
-    ]
-
-
-@st.composite
-def zero_one_matrices(draw):
-    n = draw(st.integers(1, 7))
-    return GraphSpec(tuple(draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))))
-
-
-@st.composite
-def shift_invariant_matrices(draw):
-    """Row i is row 0 rotated by i*c, so the shift (1, c) preserves the
-    adjacency; the column degrees may differ."""
-    n = draw(st.integers(1, 7))
-    first = draw(st.integers(0, 2**n - 1))
-    c = draw(st.integers(0, n - 1))
-    turns = [i * c % n for i in range(n)]
-    return GraphSpec(tuple((first << t | first >> n - t) & (2**n - 1) for t in turns))
-
-
-@given(
-    zero_one_matrices()
-    | shift_invariant_matrices()
-    | regular_graphs()
-    | st.sampled_from([*SMALL_REGULAR, l_graph(1, 7), from_matrix(CIRCULANT_ROWS)])
-)
-def test_shifts_are_exactly_the_cyclic_automorphisms(spec):
-    shifts = _shifts(spec.rows)
-    assert (0, 0) in shifts
-    assert sorted(shifts) == brute_force_shifts(spec)
-
-
-SHIFTED_GRAPHS = [
-    l_graph(1, 6),
-    l_graph(2, 3),
-    l_graph(3, 2),
-    l_graph(2, 4),
-    l_graph(0, n=5),
-    from_matrix(CIRCULANT_ROWS),
-]
-
-
-@pytest.mark.parametrize("spec", SHIFTED_GRAPHS)
-def test_every_shifted_peel_is_a_factorization(spec, monkeypatch):
-    peeled = []
-
-    def spy(rows, p):
-        part = _peel(rows, p)
-        peeled.append(part)
-        return part
-
-    monkeypatch.setattr(verifier, "_peel", spy)
-    assert check_extendability(spec).all_extendable
-    shifts = _shifts(spec.rows)
-    assert len(shifts) > 1 and peeled
-    symmetric = all(
-        spec.adjacency(i, j) == spec.adjacency(j, i)
-        for i in range(1, spec.n + 1)
-        for j in range(1, spec.n + 1)
-    )
-    for part in peeled:
-        assert check_factorization(spec, part) == []
-        seeds = [part, [inverse(q) for q in part]] if symmetric else [part]
-        for members in seeds:
-            for shift in shifts:
-                assert check_factorization(spec, list(_shifted(members, [shift]))) == []
-
-
-def spy_on_enumeration(monkeypatch):
+def spy_on_enumeration(monkeypatch, *modules):
     yielded = []
 
     def spy(spec):
@@ -697,21 +605,24 @@ def spy_on_enumeration(monkeypatch):
             yielded.append(p)
             yield p
 
-    monkeypatch.setattr(verifier, "enumerate_matchings", spy)
+    for module in modules:
+        monkeypatch.setattr(module, "enumerate_matchings", spy)
     return yielded
 
 
-def test_extendability_stops_at_the_closed_form_count(monkeypatch):
-    yielded = spy_on_enumeration(monkeypatch)
-    report = check_extendability(l_graph(0, n=6))
-    assert (report.total, report.blocked) == (720, [])
-    assert len(yielded) < 720
+@pytest.mark.parametrize(
+    "spec, total", [(l_graph(1, 6), 265), (l_graph(0, n=6), 720)], ids=["l16", "k66"]
+)
+def test_extendability_of_an_l_graph_lists_no_matching(spec, total, monkeypatch):
+    yielded = spy_on_enumeration(monkeypatch, verifier, counting)
+    report = check_extendability(spec)
+    assert (report.total, report.blocked) == (total, [])
+    assert yielded == []
 
 
 def test_extendability_of_a_matrix_enumerates_every_matching(monkeypatch):
-    # the same K_{6,6} with no closed form: the count is never known, so
-    # the enumeration is drained
-    yielded = spy_on_enumeration(monkeypatch)
+    # the same K_{6,6} with no closed form: its count is enumerated
+    yielded = spy_on_enumeration(monkeypatch, counting)
     report = check_extendability(from_matrix(["111111"] * 6))
     assert (report.total, report.blocked) == (720, [])
     assert len(yielded) == 720
