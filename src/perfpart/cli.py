@@ -1,8 +1,9 @@
 """Command-line front end: count, enumerate, construct, verify, search, check.
 
 Thin sequential shell over the library.  Exit codes: 0 on success/verified/
-found, 1 on verification failure or a proven NONE where a target asserts
-existence, 2 on usage errors.  `--json` switches machine-readable output on.
+found, 1 on verification failure, a proven NONE where a target asserts
+existence or a failed write of stdout, 2 on usage errors.  `--json` switches
+machine-readable output on.
 """
 
 from __future__ import annotations
@@ -74,13 +75,26 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, help="side size; required when r = 0")
 
 
+class _StdoutError(Exception):
+    """A write to stdout failed for a reason other than a closed pipe."""
+
+
 def _emit(args, payload, lines, sort_keys: bool = True) -> None:
-    """Print payload as one JSON line under --json, else each of the text lines."""
+    """Print payload as one JSON line under --json, else each of the text lines.
+
+    The text is built first, so only the write itself can raise _StdoutError.
+    """
     if args.json:
-        print(json.dumps(payload, sort_keys=sort_keys))
-        return
-    for line in lines:
-        print(line)
+        text = json.dumps(payload, sort_keys=sort_keys) + "\n"
+    else:
+        text = "".join(line + "\n" for line in lines)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _StdoutError(exc) from None
 
 
 def _save(parser: argparse.ArgumentParser, cert, path: str) -> None:
@@ -365,9 +379,20 @@ def main(argv=None) -> int:
         return args.func(args.parser, args)
     except BrokenPipeError:
         # downstream pager/head closed the stream; not an error of ours
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        _drop_stdout()
         return 0
+    except _StdoutError as exc:
+        # a full disk, say: one line, not a traceback
+        _drop_stdout()
+        print(f"perfpart: error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the exit-time flush of what is left in its
+    buffer cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
 
 
 if __name__ == "__main__":

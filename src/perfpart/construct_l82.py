@@ -277,8 +277,8 @@ def _type2_member(grid: Grid, context: str) -> Perm:
 def _type2_grids(
     cycle: tuple[int, int, int, int],
     chords: tuple[EBlock, EBlock, EBlock, EBlock],
-) -> tuple[Grid, ...]:
-    """The eight S0 grids A1, A2, A3, A4 and primed versions for one seed."""
+) -> tuple[Grid, Grid]:
+    """A1, with zero blocks on the cycle, and A1', with them on its inverse."""
     one, i, j, k = cycle
     if one != 1 or {i, j, k} != {2, 3, 4}:
         raise ValueError(f"cycle must visit 1, i, j, k once starting at 1: {cycle}")
@@ -289,13 +289,18 @@ def _type2_grids(
         a1[pos] = _forced(a1, pos)
     for pos in ((1, i), (i, j), (j, k), (k, 1)):
         a1p[pos] = _forced(a1p, pos)
-    a2 = {pos: e_complement(b) for pos, b in a1.items()}
-    a2p = {pos: e_complement(b) for pos, b in a1p.items()}
-    a3 = {pos: e_row_flip(b) for pos, b in a2.items()}
-    a4 = {pos: e_col_flip(b) for pos, b in a2.items()}
-    a3p = {pos: e_row_flip(b) for pos, b in a2p.items()}
-    a4p = {pos: e_col_flip(b) for pos, b in a2p.items()}
-    return a1, a2, a3, a4, a1p, a2p, a3p, a4p
+    return a1, a1p
+
+
+def _members(x: Grid, y: Grid) -> tuple[Grid, Grid, Grid, Grid]:
+    """x, complement(x), column-flipped y and row-flipped y.  A row flip of a
+    complement is a column flip, so _members(A1, A1) is A1, A2, A3, A4."""
+    return (
+        x,
+        {pos: e_complement(b) for pos, b in x.items()},
+        {pos: e_col_flip(b) for pos, b in y.items()},
+        {pos: e_row_flip(b) for pos, b in y.items()},
+    )
 
 
 def _type2_family(
@@ -314,8 +319,8 @@ def _type2_family(
     between them; parity 1 swaps the roles of block rows 1, j and i, k.  The
     walk's seed row is 2 when the parities at (1, j) and (j, 1) agree, else 1.
     """
-    a1, a2, a3, a4, a1p, a2p, a3p, a4p = _type2_grids(cycle, chords)
-    grids = (a1p, a2p, a3, a4) if primed else (a1, a2, a3p, a4p)
+    a1, a1p = _type2_grids(cycle, chords)
+    grids = _members(a1p, a1) if primed else _members(a1, a1p)
     ctx = f"cycle={cycle} chords={chords} {'primed' if primed else 'plain'}"
     members = tuple(_type2_member(g, ctx) for g in grids)
     _, i, j, k = cycle
@@ -372,8 +377,8 @@ def type2_literal_diagnostic(
     none lies in S2.  Kept as a diagnostic for why the mixed families above
     are the composition that works.
     """
-    a1, a2, a3, a4, *_ = _type2_grids(cycle, chords)
-    members = tuple(_type2_member(g, "literal family") for g in (a1, a2, a3, a4))
+    a1, _ = _type2_grids(cycle, chords)
+    members = tuple(_type2_member(g, "literal family") for g in _members(a1, a1))
     return members, _residual_pairs(members)
 
 
@@ -409,38 +414,27 @@ def build_type2() -> list[tuple[Perm, ...]]:
 FLIP_SETS: tuple[tuple[int, ...], ...] = ((), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4))
 
 
-def _expand(block_perm: Perm, cell: InvBlock) -> Perm:
-    """Inflate a 4x4 block matching by placing one invertible cell per block."""
-    return _grid_perm({(p, block_perm[p - 1]): cell for p in range(1, 5)})
-
-
-def _row_swap(p: Perm, block_row: int) -> Perm:
-    """Exchange the two images of block row block_row (flips I2 <-> R2 there)."""
-    q = list(p)
-    a = 2 * block_row - 2
-    q[a], q[a + 1] = q[a + 1], q[a]
-    return tuple(q)
-
-
 def build_type3() -> list[tuple[Perm, ...]]:
     """24 parts consuming every S4 member exactly once.
 
-    Each of the three block-level factorizations expands to a base part (the
-    all-I2 and all-R2 inflation of each of its three block matchings) and 8
-    variants via row swaps.  The 8 flip sets hit exactly one of each
+    Each of the three block-level factorizations gives 8 parts, one per flip
+    set.  Each of its three block matchings contributes two members: I2 in
+    every block row and R2 in every block row, with I2 and R2 swapped on the
+    block rows of the flip set.  The 8 flip sets hit exactly one of each
     complementary pair of the 16 I/R assignments per block matching, so the
     3 * 8 parts tile all 9 * 16 = 144 S4 members.
     """
     parts: list[tuple[Perm, ...]] = []
     for block_fact in l41_table():
-        base = [m for bp in block_fact for m in (_expand(bp, I2), _expand(bp, R2))]
         for flips in FLIP_SETS:
-            part = base
-            for br in flips:
-                part = [_row_swap(m, br) for m in part]
-            parts.append(tuple(part))
-            if check_factorization(_graph(), parts[-1]):
+            part = tuple(
+                _grid_perm({(p, bp[p - 1]): swap if p in flips else cell for p in range(1, 5)})
+                for bp in block_fact
+                for cell, swap in ((I2, R2), (R2, I2))
+            )
+            if check_factorization(_graph(), part):
                 raise RuntimeError(f"type III part fails verification: flips={flips}")
+            parts.append(part)
     assert len(parts) == 24
     flat = [m for p in parts for m in p]
     assert len(flat) == len(set(flat)) == 144

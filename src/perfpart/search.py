@@ -246,7 +246,7 @@ def perfect_partitions(
         if d == 0:
             yield ()
         return
-    if d == 0 or (precheck and len(matchings) % d != 0):
+    if precheck and len(matchings) % d != 0:
         return
     shared = [budget] if budget is not None else None
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -96,7 +97,7 @@ def test_count_bounds_the_permanent(tmp_path):
         assert time.perf_counter() - start < 1
 
 
-def test_enumerate_plain_and_classified(run):
+def test_enumerate_plain_and_classified(run, tmp_path):
     code, out = run("enumerate", "--r", "1", "--n", "4", "--m", "4")
     assert code == 0
     lines = out.strip().splitlines()
@@ -119,6 +120,13 @@ def test_enumerate_plain_and_classified(run):
     assert records[0] == {"cycles": "(1 3)(2 4)(5 7)(6 8)", "class": "S4"}
     census = Counter(rec["class"] for rec in records)
     assert census == {"S0": 2304, "S1": 1536, "S2": 768, "S4": 144}
+
+    # seven full rows, then seven single-column rows: placed sparsest first
+    path = tmp_path / "sparse-last.txt"
+    rows = ["1" * 14] * 7 + ["0" * c + "1" + "0" * (13 - c) for c in range(7, 14)]
+    path.write_text("".join(row + "\n" for row in rows))
+    code, out = run("enumerate", "--matrix", str(path), "--json")
+    assert code == 0 and len(json.loads(out)) == 5040
 
 
 def test_enumerate_classify_needs_a_known_family():
@@ -157,6 +165,7 @@ def test_a_non_regular_matrix_is_a_usage_error(run, tmp_path, capsys):
         ("search", "--matrix", "k10.txt", "--budget", "10"),
         ("check", "--matrix", "irregular.txt"),
         ("count", "--r", "0", "--m", "3", "--n", "4"),
+        ("count", "--matrix", "irregular.txt", "--m", "3"),
         ("count", "--r", "1", "--m", "21", "--oracle"),
         ("enumerate", "--r", "1", "--m", "4", "--classify"),
         ("construct", "--target", "knn:x"),
@@ -168,6 +177,7 @@ def test_a_non_regular_matrix_is_a_usage_error(run, tmp_path, capsys):
         "matching-bound",
         "not-regular",
         "graph-flags",
+        "matrix-flags",
         "permanent-bound",
         "classifier",
         "bad-target",
@@ -210,9 +220,31 @@ def test_construct_other_axis_fails_golden(run, tmp_path, monkeypatch):
     code, out = run("verify", "l61.json", "--json")
     assert code == 0 and json.loads(out)["ok"] is True
 
+    # so is one from another seed and its other pattern
+    code, _ = run(
+        "construct", "--target", "l61", "--y0", "2",
+        "--seed", "(1 2 3)(4 5 6)", "--pattern", "(1 2 3)(4 6 5)", "--out", "axis2.json",
+    )
+    assert code == 0
+    code, out = run("verify", "axis2.json", "--json")
+    assert code == 0 and json.loads(out)["ok"] is True
+
 
 def test_construct_l82_audit(run, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    code, out = run("construct", "--target", "l82", "--audit")
+    assert code == 0
+    assert out.splitlines() == [
+        "wrote l82.json: 792 parts of 6",
+        "audit type1_parts = 384",
+        "audit type2_parts = 384",
+        "audit type3_parts = 24",
+        "audit S0_1 = 768",
+        "audit S0_rest = 1536",
+        "audit S1 = 1536",
+        "audit S2 = 768",
+        "audit S4 = 144",
+    ]
     code, out = run("construct", "--target", "l82", "--audit", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -304,6 +336,8 @@ def test_certificate_bytes_are_pinned(run, tmp_path, target):
     code, _ = run("construct", "--target", target, "--out", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERT_SHA256[target]
+    code, out = run("verify", str(path))
+    assert code == 0 and out.startswith("PASS: ")
 
 
 def test_verify_detects_tampering(run, tmp_path, monkeypatch):
@@ -364,6 +398,9 @@ def test_verify_unreadable_file(run, tmp_path):
     assert code == 1 and "unreadable certificate" in out
 
 
+K22_HEADER = '"n": 2, "degree": 2, "complete": true, "parts": [[[1, 2], [2, 1]]]'
+
+
 def test_verify_rejects_a_float_image(run, tmp_path):
     """int() would read 2.5 as 2 and pass the certificate."""
     path = tmp_path / "l61.json"
@@ -372,6 +409,11 @@ def test_verify_rejects_a_float_image(run, tmp_path):
     assert payload["parts"][0][0] == [2, 1, 4, 3, 6, 5]
     payload["parts"][0][0] = [2.5, 1, 4, 3, 6, 5]
     path.write_text(json.dumps(payload))
+    code, out = run("verify", str(path))
+    assert code == 1 and out.startswith("FAIL: unreadable certificate")
+
+    # matrix rows are '0'/'1' strings: [1.0, 1] was once read as the row 11
+    path.write_text('{"graph": {"kind": "matrix", "rows": [[1.0, 1], [1, 1]]}, %s}' % K22_HEADER)
     code, out = run("verify", str(path))
     assert code == 1 and out.startswith("FAIL: unreadable certificate")
 
@@ -391,8 +433,16 @@ def test_verify_rejects_a_boolean_image(run, tmp_path):
         "'bool' object cannot be interpreted as an integer\n"
     )
 
-
-K22_HEADER = '"n": 2, "degree": 2, "complete": true, "parts": [[[1, 2], [2, 1]]]'
+    # header numbers too: a graph r of true was once read as 1 and passed
+    payload = json.loads(path.read_text())
+    payload["parts"][0][0] = [2, 1, 4, 3, 6, 5]
+    payload["graph"]["r"] = True
+    path.write_text(json.dumps(payload))
+    code, out = run("verify", str(path))
+    assert code == 1
+    assert out == (
+        "FAIL: unreadable certificate: not a certificate: r must be an integer, not True\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -416,12 +466,13 @@ def test_verify_echoes_a_large_bad_value_in_one_short_line(run, tmp_path, text):
     assert len(out.splitlines()) == 1 and len(out.encode()) < 200
 
 
-def test_verify_deeply_nested_json_is_unreadable(run, tmp_path):
+def test_verify_deeply_nested_json_is_unreadable(run, tmp_path, capsys):
     """json.load recurses per nesting level; 100,000 levels once ended in a traceback."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
-    code, out = run("verify", str(path))
-    assert code == 1 and out.startswith("FAIL: unreadable certificate: ")
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL: unreadable certificate: ") and err == ""
     assert len(out.splitlines()) == 1
     code, out = run("verify", "--json", str(path))
     assert code == 1
@@ -441,6 +492,14 @@ def test_search_target_found(run, tmp_path):
     code, out = run("verify", out_path)
     assert code == 0 and out.startswith("PASS: 3 parts, 9 matchings")
 
+    # an edgeless graph has no matching: its one partition is the empty one
+    edgeless = tmp_path / "zero.txt"
+    edgeless.write_text("00\n00\n")
+    code, out = run("search", "--matrix", str(edgeless), "--out", out_path)
+    assert code == 0 and out.splitlines()[0] == "FOUND: 0 parts of 0"
+    code, out = run("verify", out_path)
+    assert code == 0 and out.startswith("PASS: 0 parts, 0 matchings")
+
 
 def test_search_all_counts_partitions(run):
     code, out = run("search", "--target", "l41", "--all", "--json")
@@ -454,9 +513,14 @@ def test_search_matrix_none_is_not_an_error(run, circulant_file):
     assert code == 0 and json.loads(out) == {"found": False}
 
 
-def test_search_budget_exhaustion(run):
+def test_search_budget_exhaustion(run, tmp_path):
     code, out = run("search", "--target", "l62", "--budget", "3")
     assert code == 1 and out.startswith("UNDECIDED")
+    # L(1, 7): row i is all ones but position i
+    path = tmp_path / "l17.txt"
+    path.write_text("".join("1" * i + "0" + "1" * (6 - i) + "\n" for i in range(7)))
+    code, out = run("search", "--matrix", str(path), "--budget", "100000")
+    assert code == 1 and out == "UNDECIDED: node budget exhausted\n"
     code, out = run("search", "--target", "l62", "--budget", "3", "--json")
     assert code == 1 and json.loads(out)["error"] == "budget exhausted"
 
@@ -521,10 +585,20 @@ def test_enumerate_ends_at_once_on_a_matrix_that_strands_its_last_rows(tmp_path)
     assert "bounded to 20000 matchings" in proc.stderr
 
 
-def test_check_extendability(run):
+def test_check_extendability(run, circulant_file):
     code, out = run("check", "--r", "0", "--n", "3")
     assert code == 0
     assert out.strip() == "OK: all 6 matchings extend to a 1-factorization"
+    for graph, total in (
+        (("--r", "1", "--m", "6"), 265),
+        (("--r", "2", "--m", "4"), 4752),
+        (("--r", "1", "--m", "8"), 14833),
+        (("--r", "3", "--m", "3"), 12096),
+        (("--matrix", circulant_file), 13),
+    ):
+        code, out = run("check", *graph)
+        assert code == 0
+        assert out == f"OK: all {total} matchings extend to a 1-factorization\n"
 
     code, out = run("check", "--r", "1", "--m", "4", "--json")
     assert code == 0 and json.loads(out) == {"total": 9, "blocked": []}
@@ -587,6 +661,68 @@ def test_json_key_order_is_pinned(run, circulant_file, tmp_path):
     assert out == (
         '{"ok": false, "error": "unreadable certificate: not a certificate: \'graph\'"}\n'
     )
+
+
+def _cli(*argv):
+    return [sys.executable, "-m", "perfpart.cli", *argv]
+
+
+# PYTHONUNBUFFERED turns a write to a closed pipe into a silent short write;
+# without it stdout is buffered, as from a plain shell, and the write raises
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--r", "1", "--m", "6"),
+        ("check", "--r", "1", "--m", "6"),
+        ("enumerate", "--r", "1", "--m", "6"),
+    ],
+    ids=["count", "check", "enumerate"],
+)
+def test_a_failed_stdout_write_ends_in_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            _cli(*argv),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=BUFFERED_ENV,
+            text=True,
+            check=False,
+            timeout=10,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "perfpart: error: cannot write stdout: [Errno 28] No space left on device\n"
+    )
+
+
+def test_a_closed_pipe_ends_quietly():
+    """enumerate L(1, 8) writes 14833 lines, more than a pipe holds; the
+    reader closes after the first one."""
+    with subprocess.Popen(
+        _cli("enumerate", "--r", "1", "--m", "8"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=BUFFERED_ENV,
+    ) as proc:
+        assert proc.stdout.readline() == b"(1 2)(3 4)(5 6)(7 8)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=10) == 0
+        assert proc.stderr.read() == b""
+
+
+def test_an_oserror_elsewhere_is_no_stdout_failure(monkeypatch):
+    """Only the write of stdout is worded as its failure."""
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no data file")
+
+    monkeypatch.setattr("perfpart.cli.build_l61", unreadable)
+    with pytest.raises(OSError, match="no data file"):
+        main(["construct", "--target", "l61"])
 
 
 def test_module_entry_point_runs_in_a_subprocess():
