@@ -9,6 +9,7 @@ machine-readable output on.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -88,9 +89,19 @@ def _emit(args, payload, lines, sort_keys: bool = True) -> None:
         text = json.dumps(payload, sort_keys=sort_keys) + "\n"
     else:
         text = "".join(line + "\n" for line in lines)
+    raw = getattr(sys.stdout, "buffer", None)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if isinstance(raw, io.RawIOBase):
+            # unbuffered (-u), TextIOWrapper would drop what a short write leaves
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                written = raw.write(data)
+                if not written:
+                    raise _StdoutError(f"{len(data)} bytes left unwritten")
+                data = data[written:]
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except BrokenPipeError:
         raise
     except OSError as exc:
@@ -225,21 +236,16 @@ def _cmd_construct(parser, args) -> int:
     lines = [f"wrote {out}: {payload['parts']} parts of {payload['part_size']}"]
     code = 0
     if args.golden:
-        missing, unexpected = diff_parts(cert.parts, l61_golden_parts())
-        payload["golden_missing"] = [
-            [to_cycles(p) for p in part] for part in missing
-        ]
-        payload["golden_unexpected"] = [
-            [to_cycles(p) for p in part] for part in unexpected
-        ]
+        # diff_parts returns (only in the build, only in the tables)
+        unexpected, missing = diff_parts(cert.parts, l61_golden_parts())
+        payload["golden_missing"] = [list(map(to_cycles, part)) for part in missing]
+        payload["golden_unexpected"] = [list(map(to_cycles, part)) for part in unexpected]
         payload["golden_ok"] = not missing and not unexpected
         code = 0 if payload["golden_ok"] else 1
         if payload["golden_ok"]:
             lines.append(f"golden: all {payload['parts']} parts match the reference tables")
         lines += ["golden missing:   " + "; ".join(part) for part in payload["golden_missing"]]
-        lines += [
-            "golden unexpected: " + "; ".join(part) for part in payload["golden_unexpected"]
-        ]
+        lines += ["golden unexpected: " + "; ".join(part) for part in payload["golden_unexpected"]]
     if args.audit:
         payload["audit"] = classify_parts(cert.parts)
         lines += [f"audit {key} = {value}" for key, value in payload["audit"].items()]

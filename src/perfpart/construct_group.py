@@ -10,6 +10,11 @@ a pair (alpha, beta) of permutations of 1..n (top block to bottom, bottom to
 top).  The parts {(g c^t, h c^{t+d}) : t = 0..n-1} over coset representatives
 g, h and offsets d cover every pair exactly once, giving ((n-1)!)^2 * n parts
 of size n.
+
+Unlike build_l61 and build_l82, these builders skip verified_certificate:
+checking knn:8 takes about 50 ms of CPU against 35 ms to build it, which
+would more than double `construct`'s cost.  The tests verify every build up
+to knn:8 and l2nn:5 instead, and pin the bytes of those two.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from functools import lru_cache
 from .graph_model import GraphSpec, l_graph
 from .matchings import classify_l61, enumerate_matchings, label_l61
 from .perm_core import Perm, cycles_of, from_cycle_tuples, inverse, to_cycles
-from .verifier import PartitionCertificate, check_factorization, make_certificate
+from .verifier import PartitionCertificate, verified_certificate
 
 N = 6
 
@@ -224,8 +224,7 @@ def build_t3(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
     C222 element (1 y0)(x v)(t u) and shares a row with each of the other
     two C222 elements containing (1 y0), so it fits that one anchor only.
     Each anchor, in ascending order, takes the four members that fit it, in
-    ascending order; every part passes check_factorization before it is
-    committed.
+    ascending order.
     """
     if zone.y != y0:
         raise ValueError(f"zone is for class {zone.y}, not the axis {y0}")
@@ -237,11 +236,7 @@ def build_t3(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
     anchors = sorted(p for p in _classes()["C222"] if (1, y0) in cycles_of(p))
     assert sorted(groups) == anchors and {len(g) for g in groups.values()} == {4}
 
-    parts = [(mu, *groups[mu]) for mu in anchors]
-    for part in parts:
-        if check_factorization(_graph(), part):
-            raise RuntimeError(f"t3 part around {to_cycles(part[0])} fails verification")
-    return parts
+    return [(mu, *groups[mu]) for mu in anchors]
 
 
 def build_t4(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
@@ -270,7 +265,8 @@ def build_l61(
     seed: Perm | None = None,
     pattern: Perm | None = None,
 ) -> PartitionCertificate:
-    """The full 53-part partition of L(1, 6)'s 265 matchings.
+    """The full 53-part partition of L(1, 6)'s 265 matchings, verified by
+    check_partition before it is returned.
 
     The defaults rebuild the bundled reference tables.  Any other axis y0 in
     2..6, any C33 seed (canonicalized automatically), and either of its two
@@ -289,15 +285,8 @@ def build_l61(
         raise ValueError(f"axis must be in 2..{N}, got {y0}")
 
     zones = linked_zones(pattern)
-    parts: list[tuple[Perm, ...]] = build_t1()
-    for z, zone in zones.items():
-        if z != y0:
-            parts.extend(zone.subsets)
-    parts.extend(build_t3(y0, zones[y0]))
-    parts.extend(build_t4(y0, zones[y0]))
-
-    assert len(parts) == 53
-    flat = [p for part in parts for p in part]
-    assert len(flat) == len(set(flat)) == 265
-    assert set(flat) == set(enumerate_matchings(_graph()))
-    return make_certificate(_graph(), parts, complete=True)
+    zone_parts = [sub for z, zone in zones.items() if z != y0 for sub in zone.subsets]
+    axis = zones[y0]
+    return verified_certificate(
+        _graph(), [*build_t1(), *zone_parts, *build_t3(y0, axis), *build_t4(y0, axis)]
+    )

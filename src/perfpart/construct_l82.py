@@ -32,7 +32,7 @@ from .graph_model import GraphSpec, l_graph
 from .matchings import L82_LEDGER, enumerate_matchings, ledger_l82
 from .perm_core import Perm, is_permutation
 from .tables import l41_table
-from .verifier import PartitionCertificate, check_factorization, make_certificate
+from .verifier import PartitionCertificate, verified_certificate
 
 N = 8
 
@@ -206,13 +206,7 @@ def type1_part(
         c[pos] = _co_invertible(b[pos])
 
     part = tuple(_grid_perm(g) for g in (p_grid, q_grid, s, t, u, v))
-    labels = _labels()
-    for m in part[:2]:
-        assert labels.get(m) == "S0_1"
-    for m in part[2:]:
-        assert labels.get(m) == "S1"
-    if check_factorization(_graph(), part):
-        raise RuntimeError(f"type I part fails verification for {pattern} {free}")
+    assert [_labels().get(m) for m in part] == ["S0_1"] * 2 + ["S1"] * 4
     return part
 
 
@@ -337,10 +331,7 @@ def _type2_family(
     pair = sorted((_grid_perm(m1), _grid_perm(m2)))
     if any(_labels().get(m) != "S2" for m in pair):
         raise RuntimeError(f"residual pair not in S2: {ctx}")
-    part = (*members, *pair)
-    if check_factorization(_graph(), part):
-        raise RuntimeError(f"type II part fails verification: {ctx}")
-    return part
+    return (*members, *pair)
 
 
 def type2_families(
@@ -424,17 +415,15 @@ def build_type3() -> list[tuple[Perm, ...]]:
     complementary pair of the 16 I/R assignments per block matching, so the
     3 * 8 parts tile all 9 * 16 = 144 S4 members.
     """
-    parts: list[tuple[Perm, ...]] = []
-    for block_fact in l41_table():
-        for flips in FLIP_SETS:
-            part = tuple(
-                _grid_perm({(p, bp[p - 1]): swap if p in flips else cell for p in range(1, 5)})
-                for bp in block_fact
-                for cell, swap in ((I2, R2), (R2, I2))
-            )
-            if check_factorization(_graph(), part):
-                raise RuntimeError(f"type III part fails verification: flips={flips}")
-            parts.append(part)
+    parts = [
+        tuple(
+            _grid_perm({(p, bp[p - 1]): swap if p in flips else cell for p in range(1, 5)})
+            for bp in block_fact
+            for cell, swap in ((I2, R2), (R2, I2))
+        )
+        for block_fact in l41_table()
+        for flips in FLIP_SETS
+    ]
     assert len(parts) == 24
     flat = [m for p in parts for m in p]
     assert len(flat) == len(set(flat)) == 144
@@ -464,10 +453,6 @@ def classify_parts(parts) -> dict[str, int]:
 
 
 def build_l82() -> PartitionCertificate:
-    """The full 792-part partition of L(2, 4)'s 4752 matchings."""
-    parts = [*build_type1(), *build_type2(), *build_type3()]
-    assert len(parts) == 792
-    flat = [m for p in parts for m in p]
-    assert len(flat) == len(set(flat)) == 4752
-    assert set(flat) == set(_labels())
-    return make_certificate(_graph(), parts, complete=True)
+    """The full 792-part partition of L(2, 4)'s 4752 matchings, verified by
+    check_partition before it is returned."""
+    return verified_certificate(_graph(), [*build_type1(), *build_type2(), *build_type3()])

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from collections import Counter
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import chain, islice
 
 from .counting import closed_count, count_up_to
@@ -77,10 +76,8 @@ def make_certificate(
     return cert.canonical()
 
 
-@lru_cache(maxsize=16)
 def _row_sets(spec: GraphSpec) -> tuple[frozenset[int], ...]:
-    """The 1-based columns of every adjacency row; cached because the
-    builders check their parts one check_factorization call at a time."""
+    """The 1-based columns of every adjacency row."""
     return tuple(
         frozenset(j + 1 for j in range(spec.n) if row >> j & 1) for row in spec.rows
     )
@@ -258,6 +255,20 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
         n_parts=len(cert.parts),
         n_matchings=len(members),
     )
+
+
+def verified_certificate(
+    graph: GraphSpec, parts: Sequence[Sequence[Perm]]
+) -> PartitionCertificate:
+    """The complete certificate of parts, which check_partition accepts; else
+    RuntimeError names the first violation (a raise, not an assert, so -O
+    keeps it)."""
+    cert = make_certificate(graph, parts, complete=True)
+    report = check_partition(cert)
+    if not report.ok:
+        count, first = len(report.violations), report.violations[0]
+        raise RuntimeError(f"build fails verification: {count} violation(s), first {first}")
+    return cert
 
 
 @dataclass

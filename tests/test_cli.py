@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line interface."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,14 @@ import pytest
 from perfpart.cli import main
 from perfpart.construct_group import knn_partition
 from perfpart.graph_model import from_matrix, l_graph, row_strings
-from perfpart.verifier import ExtendabilityReport, make_certificate, save_certificate
+from perfpart.perm_core import to_cycles
+from perfpart.tables import l61_golden_parts
+from perfpart.verifier import (
+    ExtendabilityReport,
+    load_certificate,
+    make_certificate,
+    save_certificate,
+)
 
 CIRCULANT_ROWS = "11100\n01110\n00111\n10011\n11001\n"
 
@@ -215,6 +223,13 @@ def test_construct_other_axis_fails_golden(run, tmp_path, monkeypatch):
     payload = json.loads(out)
     assert payload["golden_ok"] is False
     assert payload["golden_missing"] and payload["golden_unexpected"]
+    # missing parts are in the reference tables only, unexpected ones in the build only
+    golden = {frozenset(map(to_cycles, part)) for part in l61_golden_parts()}
+    built = {frozenset(map(to_cycles, part)) for part in load_certificate("l61.json").parts}
+    for part in map(frozenset, payload["golden_missing"]):
+        assert part in golden and part not in built
+    for part in map(frozenset, payload["golden_unexpected"]):
+        assert part in built and part not in golden
 
     # without the golden diff the same build is still a valid certificate
     code, out = run("verify", "l61.json", "--json")
@@ -712,6 +727,60 @@ def test_a_closed_pipe_ends_quietly():
         proc.stdout.close()
         assert proc.wait(timeout=10) == 0
         assert proc.stderr.read() == b""
+
+
+class _TrickleRaw(io.RawIOBase):
+    """An unbuffered stdout that takes at most three bytes a write, and none
+    once it holds `limit` bytes; its fileno is a scratch file's."""
+
+    def __init__(self, fd, limit=None):
+        self.fd, self.limit, self.got = fd, limit, b""
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, data):
+        room = len(data) if self.limit is None else self.limit - len(self.got)
+        taken = bytes(data[: min(3, room)])
+        self.got += taken
+        return len(taken)
+
+
+@pytest.fixture()
+def trickle_stdout(monkeypatch, tmp_path):
+    """Install a _TrickleRaw under sys.stdout, as PYTHONUNBUFFERED does a FileIO."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    def install(limit=None):
+        raw = _TrickleRaw(fd, limit)
+        stdout = io.TextIOWrapper(raw, "utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        return raw
+
+    yield install
+    os.close(fd)
+
+
+def test_a_short_stdout_write_is_completed(run, trickle_stdout):
+    argv = ("enumerate", "--r", "1", "--m", "4", "--json")
+    _, want = run(*argv)
+    raw = trickle_stdout()
+    assert main(list(argv)) == 0
+    assert raw.got.decode() == want and len(want) > 3
+
+
+def test_a_stalled_stdout_write_ends_in_one_line(run, capsys, trickle_stdout):
+    argv = ("count", "--r", "1", "--m", "6", "--json")
+    _, want = run(*argv)
+    raw = trickle_stdout(limit=7)
+    assert main(list(argv)) == 1
+    assert raw.got == want.encode()[:7]
+    assert capsys.readouterr().err == (
+        f"perfpart: error: cannot write stdout: {len(want) - 7} bytes left unwritten\n"
+    )
 
 
 def test_an_oserror_elsewhere_is_no_stdout_failure(monkeypatch):

@@ -1,8 +1,12 @@
 """Certificate verification: factorization checks, tamper detection, JSON I/O."""
 
 import ast
+import importlib
 import json
 import random
+import re
+import subprocess
+import sys
 import time
 from functools import lru_cache, partial
 from itertools import islice, permutations
@@ -401,6 +405,72 @@ def test_swapped_members_fail_two_parts(l61_cert):
     assert not report.ok
     assert kinds(report.violations) == {"coverage"}
     assert {v.part for v in report.violations} == {0, 1}
+
+
+# The gated builders, each with a part builder it calls by module global.
+GATED_BUILDS = {
+    "l61": ("construct_l61", "build_t1", "build_l61"),
+    "l82": ("construct_l82", "build_type3", "build_l82"),
+}
+
+# Swaps member 1 of the first two parts a part builder returns, runs the
+# partition builder and prints the RuntimeError it raises.
+SWAP_SCRIPT = """
+import sys
+from importlib import import_module
+
+module = import_module("perfpart." + sys.argv[1])
+build_parts = getattr(module, sys.argv[2])
+
+
+def swapped():
+    parts = [list(part) for part in build_parts()]
+    parts[0][1], parts[1][1] = parts[1][1], parts[0][1]
+    return parts
+
+
+setattr(module, sys.argv[2], swapped)
+try:
+    getattr(module, sys.argv[3])()
+except RuntimeError as exc:
+    print(f"debug={__debug__} {exc}")
+"""
+
+GATE_ERROR = (
+    r"build fails verification: \d+ violation\(s\), "
+    r"first coverage \[part \d+\]: edge \(\d+,\d+\) covered \d times, expected 1"
+)
+
+
+@pytest.mark.parametrize("target", GATED_BUILDS)
+def test_a_build_that_is_no_partition_raises(target, monkeypatch):
+    """Two parts that trade a member keep every class whole, so no per-type
+    assert sees it; the check of the whole partition does."""
+    module, parts_builder, builder = GATED_BUILDS[target]
+    module = importlib.import_module(f"perfpart.{module}")
+    build_parts = getattr(module, parts_builder)
+
+    def swapped():
+        parts = [list(part) for part in build_parts()]
+        parts[0][1], parts[1][1] = parts[1][1], parts[0][1]
+        return parts
+
+    monkeypatch.setattr(module, parts_builder, swapped)
+    with pytest.raises(RuntimeError, match=GATE_ERROR):
+        getattr(module, builder)()
+
+
+@pytest.mark.parametrize("target", GATED_BUILDS)
+def test_a_build_that_is_no_partition_raises_under_optimize(target):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SWAP_SCRIPT, *GATED_BUILDS[target]],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(f"debug=False {GATE_ERROR}\n", proc.stdout)
 
 
 def test_json_round_trip_for_both_graph_kinds(l61_cert):
