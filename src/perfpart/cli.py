@@ -208,7 +208,12 @@ def _build_target(parser, args):
     for prefix, (builder, limit) in GROUP_TARGETS.items():
         if target.startswith(prefix):
             try:
-                size = int(target[len(prefix):])
+                digits = target[len(prefix):]
+                # int() also takes a sign, spaces, underscores, leading zeros
+                # and non-ASCII digits, each of which would name another file
+                if not (digits.isascii() and digits.isdigit() and str(int(digits)) == digits):
+                    raise ValueError("N must be written in decimal digits with no leading zero")
+                size = int(digits)
                 if size > limit:
                     raise ValueError(f"N must be at most {limit}")
                 return builder(size)
@@ -338,7 +343,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("enumerate", parents=[json_flag], help="list all perfect matchings")
     _add_graph_flags(p)
-    p.add_argument("--classify", action="store_true", help="append block-class tags")
+    p.add_argument(
+        "--classify",
+        action="store_true",
+        help="tag each matching with its cycle-structure class (n = 6) or "
+        "invertible-block class (n = 8)",
+    )
     p.set_defaults(func=_cmd_enumerate, parser=p)
 
     p = subs.add_parser(

@@ -29,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph_model import GraphSpec, l_graph
+from .graph_model import l_graph
 from .matchings import classify_l61, enumerate_matchings, label_l61
 from .perm_core import Perm, cycles_of, from_cycle_tuples, inverse, to_cycles
 from .verifier import PartitionCertificate, verified_certificate
 
 N = 6
+GRAPH = l_graph(1, 6)
 
 DEFAULT_Y0 = 5
 DEFAULT_SEED: Perm = (3, 1, 2, 5, 6, 4)  # (1 3 2)(4 5 6)
@@ -42,13 +43,8 @@ DEFAULT_PATTERN: Perm = (3, 1, 2, 6, 4, 5)  # (1 3 2)(4 6 5)
 
 
 @lru_cache(maxsize=None)
-def _graph() -> GraphSpec:
-    return l_graph(1, 6)
-
-
-@lru_cache(maxsize=None)
 def _classes() -> dict[str, tuple[Perm, ...]]:
-    return {k: tuple(v) for k, v in classify_l61(enumerate_matchings(_graph())).items()}
+    return {k: tuple(v) for k, v in classify_l61(enumerate_matchings(GRAPH)).items()}
 
 
 def _c33_cycles(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -288,5 +284,5 @@ def build_l61(
     zone_parts = [sub for z, zone in zones.items() if z != y0 for sub in zone.subsets]
     axis = zones[y0]
     return verified_certificate(
-        _graph(), [*build_t1(), *zone_parts, *build_t3(y0, axis), *build_t4(y0, axis)]
+        GRAPH, [*build_t1(), *zone_parts, *build_t3(y0, axis), *build_t4(y0, axis)]
     )

@@ -14,8 +14,7 @@ each.  Three part families exhaust them:
   * Type II  (build_type2): 384 parts, each four S0 - S0_1 members built
     from a block 4-cycle and four free chord blocks plus the S2 pair that
     covers what they leave, fixed by two chord parities and filled in by the
-    type-I chain walker; one canonical seed per part; uses all of S0 - S0_1
-    and S2.
+    type-I chain walker; one seed per part; uses all of S0 - S0_1 and S2.
   * Type III (build_type3): 24 parts expanding the three block-level
     factorizations of the 4x4 pattern by complementary I2/R2 assignments;
     uses all of S4.
@@ -35,6 +34,7 @@ from .tables import l41_table
 from .verifier import PartitionCertificate, verified_certificate
 
 N = 8
+GRAPH = l_graph(2, 4)
 
 # An E-block is the cell (a, b), a and b in {1, 2}, of its single one; an
 # invertible block is the pair of its two cells.
@@ -82,16 +82,11 @@ def _grid_perm(cells: Grid) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _graph() -> GraphSpec:
-    return l_graph(2, 4)
-
-
-@lru_cache(maxsize=None)
 def _labels() -> dict[Perm, str]:
     """The ledger_l82 class of every matching of L(2, 4): S0_1, S0_rest
     (S0 minus S0_1), S1, S2 or S4.  A permutation missing here is no
     matching of L(2, 4)."""
-    return {p: ledger_l82(p) for p in enumerate_matchings(_graph())}
+    return {p: ledger_l82(p) for p in enumerate_matchings(GRAPH)}
 
 
 def _group(label: str) -> set[Perm]:
@@ -242,7 +237,7 @@ def _residual_pairs(members: tuple[Perm, ...]) -> list[tuple[Perm, Perm]]:
     residual's matchings: it serves type2_literal_diagnostic and the tests
     that check the type-II pairs, not the build.
     """
-    rows = list(_graph().rows)
+    rows = list(GRAPH.rows)
     for p in members:
         for row, img in enumerate(p):
             if not rows[row] >> (img - 1) & 1:
@@ -300,26 +295,24 @@ def _members(x: Grid, y: Grid) -> tuple[Grid, Grid, Grid, Grid]:
 def _type2_family(
     cycle: tuple[int, int, int, int],
     chords: tuple[EBlock, EBlock, EBlock, EBlock],
-    primed: bool,
 ) -> tuple[Perm, ...]:
-    """The plain family {A1, A2, A3', A4'} or the primed {A1', A2', A3, A4},
-    completed by the S2 pair that covers the residual they leave.
+    """The family {A1, A2, A3', A4'} of one seed, completed by the S2 pair
+    that covers the residual its members leave.
 
     The residual is an invertible block at each position of the cycle and of
     its inverse, the co-pair of any family cell there.  A chord parity is 0
-    for a diagonal chord, 1 for an antidiagonal one, flipped in the primed
-    family.  Parity 0 at (1, j) gives M1 the whole blocks at (1, i), (j, k)
-    and M2 those at (1, k), (j, i), and the walk splits block rows i and k
-    between them; parity 1 swaps the roles of block rows 1, j and i, k.  The
-    walk's seed row is 2 when the parities at (1, j) and (j, 1) agree, else 1.
+    for a diagonal chord, 1 for an antidiagonal one.  Parity 0 at (1, j)
+    gives M1 the whole blocks at (1, i), (j, k) and M2 those at (1, k),
+    (j, i), and the walk splits block rows i and k between them; parity 1
+    swaps the roles of block rows 1, j and i, k.  The walk's seed row is 2
+    when the parities at (1, j) and (j, 1) agree, else 1.
     """
-    a1, a1p = _type2_grids(cycle, chords)
-    grids = _members(a1p, a1) if primed else _members(a1, a1p)
-    ctx = f"cycle={cycle} chords={chords} {'primed' if primed else 'plain'}"
+    grids = _members(*_type2_grids(cycle, chords))
+    ctx = f"cycle={cycle} chords={chords}"
     members = tuple(_type2_member(g, ctx) for g in grids)
     _, i, j, k = cycle
     used = {pos: blk for g in grids for pos, blk in g.items()}
-    p1, p2 = ((chords[n] in (E12, E21)) ^ primed for n in (0, 1))
+    p1, p2 = (chords[n] in (E12, E21) for n in (0, 1))
     # whole residual blocks of M1, then of M2, and the ring the walk splits
     if p1:
         wholes, ring = ((i, j), (k, 1), (i, 1), (k, j)), ((1, k), (1, i), (j, i), (j, k))
@@ -343,17 +336,18 @@ def type2_families(
     A1 has zero blocks on the cycle (1, i), (i, j), (j, k), (k, 1) and A1' on
     the inverse cycle; both share the chord blocks at (1, j), (j, 1), (k, i),
     (i, k), and their remaining blocks are forced by row/column sums.  With
-    A2 = complement(A1), A3/A4 = row/column-swapped A2 and likewise primed,
-    the mixed families {A1, A2, A3', A4'} and {A1', A2', A3, A4} each leave a
-    residual of invertible blocks on the cycle plus its inverse.  The S2
-    pair that covers it follows from the chord parities at (1, j) and (j, 1)
-    (see _type2_family), which is what lets the pairs cover S2 without
-    repeats across the whole sweep.
+    A2 = complement(A1), A3/A4 = row/column-swapped A2 and A2', A3', A4'
+    the same of A1', the mixed family {A1, A2, A3', A4'} leaves a residual
+    of invertible blocks on the cycle plus its inverse.  The S2 pair that
+    covers it follows from the chord parities at (1, j) and (j, 1) (see
+    _type2_family), which is what lets the pairs cover S2 without repeats
+    across the whole sweep.
+
+    The second part is the family of the column-flipped chords.  Flipping
+    every chord column-flips A1 and A1', so that family is the other mixed
+    one, {A1', A2', A3, A4}, of this seed.
     """
-    return (
-        _type2_family(cycle, chords, primed=False),
-        _type2_family(cycle, chords, primed=True),
-    )
+    return _type2_family(cycle, chords), _type2_family(cycle, tuple(map(e_col_flip, chords)))
 
 
 def type2_literal_diagnostic(
@@ -376,16 +370,17 @@ def type2_literal_diagnostic(
 def build_type2() -> list[tuple[Perm, ...]]:
     """384 parts consuming every S0 - S0_1 and every S2 member exactly once.
 
-    The full sweep over 3 cycle representatives x 4^4 chord choices x 2
-    families rebuilds each part four times: every primed family is also the
-    plain family of another seed, and complementing every chord rebuilds the
-    same plain family with A1 and A2 swapped.  Complementing moves the chord
-    at (1, j) between block rows, so plain families whose (1, j) chord lies in
-    the top row give each part from exactly one seed: 3 * 2 * 4^3 = 384.
-    Parts are returned with sorted members, in sorted order.
+    The full sweep of type2_families over 3 cycle representatives x 4^4
+    chord choices builds each part four times: its second family is the
+    first family of the column-flipped chords, and complementing every chord
+    rebuilds the same family with A1 and A2 swapped.  Complementing moves the
+    chord at (1, j) between block rows, so the first families whose (1, j)
+    chord lies in the top row give each part from exactly one seed:
+    3 * 2 * 4^3 = 384.  Parts are returned with sorted members, in sorted
+    order.
     """
     parts = sorted(
-        tuple(sorted(_type2_family(cycle, (ch1j, *rest), primed=False)))
+        tuple(sorted(_type2_family(cycle, (ch1j, *rest))))
         for cycle in CYCLE_REPS
         for ch1j in (E11, E12)
         for rest in product(E_BLOCKS, repeat=3)
@@ -455,4 +450,4 @@ def classify_parts(parts) -> dict[str, int]:
 def build_l82() -> PartitionCertificate:
     """The full 792-part partition of L(2, 4)'s 4752 matchings, verified by
     check_partition before it is returned."""
-    return verified_certificate(_graph(), [*build_type1(), *build_type2(), *build_type3()])
+    return verified_certificate(GRAPH, [*build_type1(), *build_type2(), *build_type3()])

@@ -59,21 +59,14 @@ class PartitionCertificate:
     def n(self) -> int:
         return self.graph.n
 
-    def canonical(self) -> "PartitionCertificate":
-        """Members sorted by image tuple, parts sorted by first member."""
-        parts = tuple(sorted(tuple(sorted(part)) for part in self.parts))
-        return PartitionCertificate(self.graph, self.complete, parts)
-
 
 def make_certificate(
     graph: GraphSpec, parts: Sequence[Sequence[Perm]], complete: bool
 ) -> PartitionCertificate:
-    cert = PartitionCertificate(
-        graph=graph,
-        complete=complete,
-        parts=tuple(tuple(map(tuple, part)) for part in parts),
-    )
-    return cert.canonical()
+    """The certificate of parts in canonical order: members sorted by image
+    tuple, parts sorted by first member."""
+    canonical = sorted(tuple(sorted(map(tuple, part))) for part in parts)
+    return PartitionCertificate(graph=graph, complete=complete, parts=tuple(canonical))
 
 
 def _row_sets(spec: GraphSpec) -> tuple[frozenset[int], ...]:
@@ -117,18 +110,19 @@ def check_factorization(spec: GraphSpec, perms: Sequence[Perm]) -> list[Violatio
     only for a part that fails it.
     """
     d = degree(spec)
-    if _is_factorization(perms, d, _row_sets(spec)):
+    rows = _row_sets(spec)
+    if _is_factorization(perms, d, rows):
         return []
-    return _factorization_violations(spec, perms, d)
+    return _factorization_violations(perms, d, rows)
 
 
 def _factorization_violations(
-    spec: GraphSpec, perms: Sequence[Perm], d: int
+    perms: Sequence[Perm], d: int, rows: tuple[frozenset[int], ...]
 ) -> list[Violation]:
-    """Every violation of a member list, worded one per defect."""
+    """Every violation of a member list against a graph of degree d whose
+    adjacency rows have the column sets rows, worded one per defect."""
     out: list[Violation] = []
-    n = spec.n
-    rows = _row_sets(spec)
+    n = len(rows)
     if len(perms) != d:
         out.append(
             Violation("size", f"expected {d} matchings (the degree), got {len(perms)}")
@@ -228,7 +222,7 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
         if not _is_factorization(part, d, rows):
             violations.extend(
                 Violation(v.kind, v.detail, part=k, member=v.member)
-                for v in _factorization_violations(spec, part, d)
+                for v in _factorization_violations(part, d, rows)
             )
 
     members = list(chain.from_iterable(cert.parts))

@@ -302,6 +302,18 @@ def test_construct_usage_errors():
     usage_error("construct", "--target", "l2nn:2", "--audit")
 
 
+@pytest.mark.parametrize(
+    "target", ["knn:+3", "knn: 3", "knn:03", "knn:0_3", "knn:\u0663", "knn:3 ", "l2nn:_2", "l2nn:02"]
+)
+def test_construct_takes_group_sizes_in_plain_digits_only(target, tmp_path, monkeypatch, capsys):
+    """int() reads each of these as 3 or 2, and the default certificate name
+    would then differ from that of knn:3 or l2nn:2."""
+    monkeypatch.chdir(tmp_path)
+    usage_error("construct", "--target", target)
+    assert f"bad target {target}: N must be written in decimal digits" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_construct_takes_an_empty_seed_as_not_given(run, tmp_path):
     """An empty --seed or --pattern means the flag was not given."""
     path = tmp_path / "l61.json"

@@ -1,7 +1,8 @@
 """Block-grid constructions behind the 792-part partition of L(2, 4)."""
 
+import hashlib
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -159,6 +160,22 @@ def test_type2_cycle_validation():
         type2_families((2, 1, 3, 4), (E11, E11, E11, E11))
 
 
+# sha256 of the repr of every type-II family, members sorted, over all six
+# block 4-cycles through 1 and all 4^4 chord tuples: 3072 families
+TYPE2_SWEEP_SHA256 = "1c30acfa75410a3e64c0f111d6c44d4c1b8e12cbe6833b50bee4a3fc77b74e50"
+
+
+def test_type2_sweep_over_every_cycle_is_pinned():
+    families = [
+        tuple(sorted(fam))
+        for q in permutations((2, 3, 4))
+        for chords in product(E_BLOCKS, repeat=4)
+        for fam in type2_families((1, *q), chords)
+    ]
+    assert len(families) == 3072
+    assert hashlib.sha256(repr(families).encode()).hexdigest() == TYPE2_SWEEP_SHA256
+
+
 @pytest.mark.parametrize("cycle", CYCLE_REPS)
 def test_literal_family_residual_is_s4_only(cycle):
     """The same-zero-pattern family leaves a residual with no S2 split."""
@@ -222,7 +239,7 @@ def type2_sweep():
         (cycle, chords, role, tuple(sorted(fam)))
         for cycle in CYCLE_REPS
         for chords in product(E_BLOCKS, repeat=4)
-        for role, fam in zip(("plain", "primed"), type2_families(cycle, chords))
+        for role, fam in zip(("seed", "flipped"), type2_families(cycle, chords))
     ]
 
 
@@ -248,7 +265,7 @@ def test_type2_sweep_builds_each_part_four_times(type2_parts, type2_sweep):
 
     canonical = Counter(
         part for _, chords, role, part in type2_sweep
-        if role == "plain" and chords[0] in (E11, E12)
+        if role == "seed" and chords[0] in (E11, E12)
     )
     assert len(canonical) == 384 and set(canonical.values()) == {1}
     assert sorted(canonical) == type2_parts
@@ -286,9 +303,9 @@ def test_type2_pairs_come_from_the_residual_decompositions(type2_sweep):
 
 
 def test_residual_pairs_match_a_brute_force_oracle():
-    """Over every family of one cycle representative (plain, primed and the
-    literal diagnostic), the residual decompositions are exactly the pairs
-    of L(2, 4) matchings that split the residual's cells."""
+    """Over every family of one cycle representative (both families of each
+    seed and the literal diagnostic), the residual decompositions are
+    exactly the pairs of L(2, 4) matchings that split the residual's cells."""
     spec = l_graph(2, 4)
     cells = {}
     for p in enumerate_matchings(spec):

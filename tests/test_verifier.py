@@ -199,9 +199,9 @@ def member_lists(draw):
 @given(member_lists())
 def test_fast_accept_holds_exactly_when_no_violation_is_worded(case):
     spec, perms = case
-    d = degree(spec)
-    accepted = _is_factorization(perms, d, _row_sets(spec))
-    assert accepted == (not _factorization_violations(spec, perms, d))
+    d, rows = degree(spec), _row_sets(spec)
+    accepted = _is_factorization(perms, d, rows)
+    assert accepted == (not _factorization_violations(perms, d, rows))
     assert accepted == (check_factorization(spec, perms) == [])
     cells = set(range(1, spec.n + 1))
     if all(len(p) == spec.n and set(p) <= cells for p in perms):
@@ -263,6 +263,19 @@ def test_completeness_names_extra_members_of_a_bad_part(l61_cert):
     report = check_partition(make_certificate(l61_cert.graph, parts, complete=True))
     assert not report.ok
     assert {"not_matching", "missing", "extra"} <= kinds(report.violations)
+
+
+def test_check_partition_builds_the_row_sets_once(l61_cert, monkeypatch):
+    """A part that fails is worded against the row sets the whole check
+    shares, not against its own copy."""
+    calls = []
+    real = verifier._row_sets
+    monkeypatch.setattr(verifier, "_row_sets", lambda spec: calls.append(spec) or real(spec))
+    short = tuple(part[:-1] for part in l61_cert.parts)
+    report = check_partition(PartitionCertificate(l61_cert.graph, False, short))
+    assert {v.part for v in report.violations} == set(range(53))
+    assert kinds(report.violations) == {"size"}
+    assert len(calls) == 1
 
 
 def block_diagonal_parts(blocks):
