@@ -66,8 +66,12 @@ def _matrix_file(path: str) -> GraphSpec:
         raise argparse.ArgumentTypeError(f"bad matrix file {path}: {exc}") from None
 
 
-def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
+def _add_graph_flags(sub: argparse.ArgumentParser, targets=None) -> None:
+    """(--r | --matrix) as one required group, led by --target when targets
+    names the graphs it may pick, plus --m and --n."""
     graph = sub.add_mutually_exclusive_group(required=True)
+    if targets:
+        graph.add_argument("--target", choices=targets, help="a graph expected to have one")
     graph.add_argument("--r", type=int, help="hole size r of L(r, m); 0 for K_{n,n}")
     graph.add_argument(
         "--matrix", metavar="FILE", type=_matrix_file, help="0/1 adjacency rows, one per line"
@@ -135,10 +139,12 @@ def _require_regular(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
 
 
 def _graph_from_flags(parser: argparse.ArgumentParser, args) -> GraphSpec:
-    if args.matrix is not None:
+    # only search has --target, which names a whole graph as --matrix does
+    target = getattr(args, "target", None)
+    if target is not None or args.matrix is not None:
         if args.m is not None or args.n is not None:
-            parser.error("--matrix excludes --m/--n")
-        return args.matrix
+            parser.error(f"--{'matrix' if target is None else 'target'} excludes --m/--n")
+        return args.matrix if target is None else l_graph(*SEARCH_TARGETS[target])
     try:
         return l_graph(args.r, args.m, args.n)
     except ValueError as exc:
@@ -278,8 +284,10 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_search(parser, args) -> int:
+    if args.budget is not None and args.budget < 0:
+        parser.error(f"--budget must be a non-negative integer, not {args.budget}")
     asserted = args.target is not None
-    spec = l_graph(*SEARCH_TARGETS[args.target]) if asserted else args.matrix
+    spec = _graph_from_flags(parser, args)
     _require_regular(parser, spec)
     _bound_matchings(parser, spec)
 
@@ -326,7 +334,58 @@ def _cmd_check(parser, args) -> int:
     return 0 if report.all_extendable else 1
 
 
-def _parser() -> argparse.ArgumentParser:
+def _count_flags(p: argparse.ArgumentParser) -> None:
+    _add_graph_flags(p)
+    p.add_argument("--oracle", action="store_true", help="cross-check with the permanent")
+
+
+def _enumerate_flags(p: argparse.ArgumentParser) -> None:
+    _add_graph_flags(p)
+    p.add_argument(
+        "--classify",
+        action="store_true",
+        help="tag each matching with its cycle-structure class (n = 6) or "
+        "invertible-block class (n = 8)",
+    )
+
+
+def _construct_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", required=True, help="l61, l82, knn:N or l2nn:N")
+    p.add_argument("--y0", type=int, choices=range(2, 7), help="l61 axis point")
+    p.add_argument("--seed", help="l61 seed, cycle notation like '(1 2 3)(4 5 6)'")
+    p.add_argument("--pattern", help="l61 pattern, cycle notation")
+    p.add_argument("--golden", action="store_true", help="diff against reference tables")
+    p.add_argument("--audit", action="store_true", help="print the class-usage ledger")
+    p.add_argument("--out", help="certificate path (default <target>.json)")
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+
+
+def _search_flags(p: argparse.ArgumentParser) -> None:
+    _add_graph_flags(p, SEARCH_TARGETS)
+    p.add_argument("--budget", type=int, help="search node budget")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--all", action="store_true", help="count every partition")
+    mode.add_argument("--out", help="write the found certificate here")
+
+
+# subcommand: (help, flag adder, handler), in the order `perfpart -h` lists them
+COMMANDS = {
+    "count": ("matching count and divisibility test", _count_flags, _cmd_count),
+    "enumerate": ("list all perfect matchings", _enumerate_flags, _cmd_enumerate),
+    "construct": ("build a partition certificate file", _construct_flags, _cmd_construct),
+    "verify": ("verify a certificate file", _verify_flags, _cmd_verify),
+    "search": ("exhaustive perfect-partition search", _search_flags, _cmd_search),
+    "check": ("matching extendability check", _add_graph_flags, _cmd_check),
+}
+
+
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The perfpart parser with the subparser of command alone, or of every
+    command when it is None.  A subparser's prog is fixed by add_subparsers,
+    not by its siblings, so either build prints the same for that command."""
     parser = argparse.ArgumentParser(
         prog="perfpart",
         description="Count, enumerate, construct, verify and search perfect "
@@ -335,59 +394,20 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = subs.add_parser("count", parents=[json_flag], help="matching count and divisibility test")
-    _add_graph_flags(p)
-    p.add_argument("--oracle", action="store_true", help="cross-check with the permanent")
-    p.set_defaults(func=_cmd_count, parser=p)
-
-    p = subs.add_parser("enumerate", parents=[json_flag], help="list all perfect matchings")
-    _add_graph_flags(p)
-    p.add_argument(
-        "--classify",
-        action="store_true",
-        help="tag each matching with its cycle-structure class (n = 6) or "
-        "invertible-block class (n = 8)",
-    )
-    p.set_defaults(func=_cmd_enumerate, parser=p)
-
-    p = subs.add_parser(
-        "construct", parents=[json_flag], help="build a partition certificate file"
-    )
-    p.add_argument("--target", required=True, help="l61, l82, knn:N or l2nn:N")
-    p.add_argument("--y0", type=int, choices=range(2, 7), help="l61 axis point")
-    p.add_argument("--seed", help="l61 seed, cycle notation like '(1 2 3)(4 5 6)'")
-    p.add_argument("--pattern", help="l61 pattern, cycle notation")
-    p.add_argument("--golden", action="store_true", help="diff against reference tables")
-    p.add_argument("--audit", action="store_true", help="print the class-usage ledger")
-    p.add_argument("--out", help="certificate path (default <target>.json)")
-    p.set_defaults(func=_cmd_construct, parser=p)
-
-    p = subs.add_parser("verify", parents=[json_flag], help="verify a certificate file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify, parser=p)
-
-    p = subs.add_parser("search", parents=[json_flag], help="exhaustive perfect-partition search")
-    graph = p.add_mutually_exclusive_group(required=True)
-    graph.add_argument("--target", choices=SEARCH_TARGETS, help="a graph expected to have one")
-    graph.add_argument(
-        "--matrix", metavar="FILE", type=_matrix_file, help="0/1 adjacency rows, one per line"
-    )
-    p.add_argument("--budget", type=int, help="search node budget")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true", help="count every partition")
-    mode.add_argument("--out", help="write the found certificate here")
-    p.set_defaults(func=_cmd_search, parser=p)
-
-    p = subs.add_parser("check", parents=[json_flag], help="matching extendability check")
-    _add_graph_flags(p)
-    p.set_defaults(func=_cmd_check, parser=p)
-
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        if command in (None, name):
+            p = subs.add_parser(name, parents=[json_flag], help=help_text)
+            add_flags(p)
+            p.set_defaults(func=handler, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args, unknown = _parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse never abbreviates a subcommand, so anything but an exact name
+    # (-h, nothing, a typo) gets the full parser and its list of choices
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, unknown = _parser(command).parse_known_args(argv)
     if unknown:
         # parse_args would word this with the top-level usage line
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")

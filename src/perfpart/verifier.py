@@ -343,6 +343,8 @@ def _images(parts):
 
 def certificate_from_json(obj: dict) -> PartitionCertificate:
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"certificate must be an object, not {short_repr(obj)}")
         n = _json_int(obj, "n")
         graph = graph_from_json(obj["graph"], n)
         stored_degree = _json_int(obj, "degree")

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import time
+from argparse import _SubParsersAction
 from collections import Counter
 
 import pytest
 
-from perfpart.cli import main
+from perfpart import cli
+from perfpart.cli import COMMANDS, main
 from perfpart.construct_group import knn_partition
 from perfpart.graph_model import from_matrix, l_graph, row_strings
 from perfpart.perm_core import to_cycles
@@ -180,6 +182,8 @@ def test_a_non_regular_matrix_is_a_usage_error(run, tmp_path, capsys):
         ("construct", "--target", "l82", "--seed", "(1 2 3)(4 5 6)"),
         ("search", "--target", "l41", "--out", "."),
         ("check", "--r", "1", "--m", "4", "--budget", "1"),
+        ("search", "--target", "l41", "--m", "4"),
+        ("search", "--target", "l41", "--budget", "-5"),
     ],
     ids=[
         "matching-bound",
@@ -192,6 +196,8 @@ def test_a_non_regular_matrix_is_a_usage_error(run, tmp_path, capsys):
         "target-flag",
         "unwritable-out",
         "unknown-flag",
+        "target-with-m",
+        "negative-budget",
     ],
 )
 def test_a_usage_error_prints_its_subcommands_usage(tmp_path, monkeypatch, capsys, argv):
@@ -493,6 +499,19 @@ def test_verify_echoes_a_large_bad_value_in_one_short_line(run, tmp_path, text):
     assert len(out.splitlines()) == 1 and len(out.encode()) < 200
 
 
+@pytest.mark.parametrize("text, shown", [("[]", "[]"), ("1", "1"), ("null", "None"), ('"x"', "'x'")])
+def test_verify_names_a_certificate_that_is_no_object(run, tmp_path, text, shown):
+    """`[]` once leaked "list indices must be integers or slices, not str"."""
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    code, out = run("verify", str(path))
+    assert code == 1
+    assert out == (
+        "FAIL: unreadable certificate: not a certificate: "
+        f"certificate must be an object, not {shown}\n"
+    )
+
+
 def test_verify_deeply_nested_json_is_unreadable(run, tmp_path, capsys):
     """json.load recurses per nesting level; 100,000 levels once ended in a traceback."""
     path = tmp_path / "deep.json"
@@ -564,10 +583,39 @@ def test_search_large_matrix_ends_in_a_verdict(run, tmp_path):
         assert code == 0 and first == "FOUND: 2016 parts of 6"
 
 
+def test_search_takes_the_graph_flags(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("search", "--r", "1", "--m", "4", "--out", "a.json")[0] == 0
+    assert run("search", "--target", "l41", "--out", "b.json")[0] == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    code, out = run("search", "--r", "3", "--m", "3", "--budget", "100")
+    assert code == 1 and out == "UNDECIDED: node budget exhausted\n"
+    code, out = run("search", "--r", "0", "--n", "3", "--json")
+    assert code == 0 and json.loads(out)["found"] is True
+
+    # --r is a plain query, as --matrix is: NONE exits 0 there, 1 for --target
+    monkeypatch.setattr("perfpart.cli.find_perfect_partition", lambda spec, budget: None)
+    assert run("search", "--r", "1", "--m", "4") == (0, "NONE: no perfect partition exists\n")
+    assert run("search", "--target", "l41") == (1, "NONE: no perfect partition exists\n")
+
+
+def test_search_budget_is_a_non_negative_integer(run, capsys):
+    usage_error("search", "--target", "l41", "--budget", "-5")
+    assert "error: --budget must be a non-negative integer, not -5\n" in capsys.readouterr().err
+    assert run("search", "--target", "l41", "--budget", "0") == (
+        1,
+        "UNDECIDED: node budget exhausted\n",
+    )
+
+
 def test_search_usage_errors(circulant_file, tmp_path):
     usage_error("search")
     usage_error("search", "--target", "l99")
     usage_error("search", "--target", "l41", "--matrix", circulant_file)
+    usage_error("search", "--target", "l41", "--r", "1")
+    usage_error("search", "--target", "l41", "--n", "4")
+    usage_error("search", "--r", "1", "--m", "4", "--matrix", circulant_file)
     usage_error("search", "--matrix", str(tmp_path / "no-such-file.txt"))
     out = tmp_path / "all.json"
     usage_error("search", "--target", "l41", "--all", "--out", str(out))
@@ -815,3 +863,44 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 9
+
+
+def _outcome(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_subparser_prints_what_the_full_parser_does(name, monkeypatch, capsys):
+    """main builds only the invoked subcommand's parser; its help and its usage
+    errors must read as they do when every subparser is built."""
+    lean = [_outcome(capsys, name, "-h"), _outcome(capsys, name, "--no-such-flag")]
+    full = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda command=None: full())
+    assert [_outcome(capsys, name, "-h"), _outcome(capsys, name, "--no-such-flag")] == lean
+    assert lean[0][0] == 0 and lean[0][1].startswith(f"usage: perfpart {name} ")
+    assert lean[1][0] == 2 and lean[1][2].startswith(f"usage: perfpart {name} ")
+
+
+@pytest.mark.parametrize("argv", [("-h",), (), ("bogus",), ("chec",)])
+def test_anything_but_a_subcommand_lists_all_six(argv, capsys):
+    code, out, err = _outcome(capsys, *argv)
+    assert code == (0 if argv == ("-h",) else 2)
+    assert "{count,enumerate,construct,verify,search,check}" in out + err
+
+
+def test_a_command_builds_its_own_subparser_only(run, monkeypatch):
+    calls = []
+    add_parser = _SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(_SubParsersAction, "add_parser", spy)
+    assert run("check", "--r", "1", "--m", "6")[0] == 0
+    assert calls == ["check"]
