@@ -53,8 +53,9 @@ PERMANENT_MAX_N = 20
 # all of it the import; medians of five runs, 2-CPU VM, Python 3.11).
 # search's exact-cover index keeps one clash bitset per matching, about
 # count**2 / 8 bytes: 0.4 MB on L(1, 7), 28 MB on L(1, 8) and 50 MB at this
-# bound.  On K_{9,9} and K_{10,10} search --budget 10 was still listing
-# matchings after 20 s.
+# bound.  Its cache of dead subtrees (search.DEAD_MAX entries) adds at most
+# 1.4 MB on L(1, 7) and 13.5 MB at this bound.  On K_{9,9} and K_{10,10}
+# search --budget 10 was still listing matchings after 20 s.
 MATCHINGS_MAX = 20_000
 
 

@@ -19,6 +19,14 @@ count, are those of the full index.  Both levels keep their path on an
 explicit stack rather than the Python call stack, because a graph can need
 thousands of parts and a cover thousands of rows.
 
+The walk below an inner node depends only on the node's covered and alive
+bitsets and the index, so each index remembers, up to DEAD_MAX of them, the
+subtrees it walked to the end without a cover, with the nodes each took.  A
+node that enters a remembered state charges those nodes to the budget and
+backtracks.  The search tree, its node count, the node where a budget runs
+out and every result stay those of the node-by-node walk; on L(1, 7) two
+thirds of the inner nodes of a 10**5-node search are skipped this way.
+
 Everything is deterministic: matchings are taken in lexicographic order and
 candidates are tried in ascending index order.
 """
@@ -30,6 +38,20 @@ from collections.abc import Iterator, Sequence
 from .graph_model import GraphSpec, degree, is_matching
 from .matchings import enumerate_matchings
 from .perm_core import Perm
+
+
+# Most dead subtrees one CoverIndex remembers; a full cache is cleared.  An
+# entry costs about width / 7.5 + 90 bytes (an int keeps 30 bits in 4 bytes),
+# width being the index's rows plus columns in bits: at most 1.4 MB at this
+# bound on L(1, 7) (1854 rows, 49 columns), and at most 13.5 MB on the widest
+# index search builds (MATCHINGS_MAX rows, at most 64 * 64 edge columns),
+# about a quarter of that index's keep.  Each index that restrict builds has
+# its own cache, and the widths at least halve down a search path, so the
+# caches on one path hold at most about twice the widest one's bound.  The
+# inner level of a 10**5-node L(1, 7) search processes 96,794 nodes with no
+# cache, 36,662 at a bound of 2048, 32,899 at 4096 and 31,361 at 8192, where
+# the cache stops filling.
+DEAD_MAX = 4096
 
 
 class SearchBudgetExceeded(Exception):
@@ -46,27 +68,34 @@ class CoverIndex:
     idx (idx included), so choosing a row is one AND of alive with keep[idx];
     keep costs about len(rows)**2 / 8 bytes.  This is the bitset form of
     Knuth's Dancing Links: undoing a choice is free because each node keeps
-    its own alive set.
+    its own alive set.  dead maps covered << len(rows) | alive, the root of a
+    subtree that covers walked to the end without a cover, to the nodes that
+    subtree took; it holds at most DEAD_MAX entries.
     """
 
-    __slots__ = ("rows", "full", "all_rows", "keep", "cols")
+    __slots__ = ("rows", "full", "all_rows", "keep", "cols", "dead")
 
     def __init__(self, n_cols: int, rows: Sequence[int]) -> None:
         self.rows = list(rows)
+        n_rows = len(self.rows)
         self.full = (1 << n_cols) - 1
-        self.all_rows = (1 << len(self.rows)) - 1
-        col_rows = [0] * n_cols
+        self.all_rows = (1 << n_rows) - 1
+        # each column's row bitset as base-2 digits, row 0 last, read by one
+        # int() per column; the leading "0" makes an empty index parse
+        digits = [bytearray(b"0" * (n_rows + 1)) for _ in range(n_cols)]
         row_cols = []
         for idx, mask in enumerate(self.rows):
+            at = n_rows - idx
             cols = []
             m = mask
             while m:
                 low = m & -m
                 m ^= low
-                cols.append(low.bit_length() - 1)
-            for col in cols:
-                col_rows[col] |= 1 << idx
+                col = low.bit_length() - 1
+                digits[col][at] = 49  # ord("1")
+                cols.append(col)
             row_cols.append(cols)
+        col_rows = [int(d, 2) for d in digits]
         self.keep = []
         for cols in row_cols:
             clash = 0
@@ -74,6 +103,7 @@ class CoverIndex:
                 clash |= col_rows[col]
             self.keep.append(~clash)
         self.cols = tuple((1 << c, col) for c, col in enumerate(col_rows))
+        self.dead: dict[int, int] = {}
 
     def restrict(self, alive: int) -> tuple[list[int], CoverIndex]:
         """The alive rows' ids in ascending order, and an index over just those rows.
@@ -102,8 +132,17 @@ class CoverIndex:
         tries its rows in ascending order.  budget, when given, is a
         single-element mutable list of remaining search nodes shared with the
         caller; it raises SearchBudgetExceeded at zero.
+
+        Entering a state stored in dead, in this call or a later one, charges
+        the stored node count to the budget and backtracks, as walking that
+        subtree again would: the walk below a node reads only its covered and
+        alive bitsets and this index.
         """
-        rows, full, keep, cols = self.rows, self.full, self.keep, self.cols
+        rows, full, keep, cols, dead = self.rows, self.full, self.keep, self.cols, self.dead
+        n_rows = len(rows)
+        # rows past the index never count as candidates; dropping them keeps
+        # the dead key covered << n_rows | alive one-to-one
+        alive &= self.all_rows
         covered = 0
         chosen = list(forced)
         for idx in forced:
@@ -112,46 +151,66 @@ class CoverIndex:
             covered |= rows[idx]
             alive &= keep[idx]
 
-        # Explicit DFS stack, one [covered, alive, untried candidates] entry
-        # per open node on the current path; the last len(stack) entries of
-        # chosen are the rows taken from them.  (covered, alive) is the node
-        # being entered.
-        no_best = len(rows) + 1
+        # Explicit DFS stack, one [key, covered, alive, untried candidates,
+        # nodes before it, covers before it] entry per open node on the
+        # current path; the last len(stack) entries of chosen are the rows
+        # taken from them.  (covered, alive) is the node being entered; nodes
+        # and found count the nodes entered and the covers yielded so far,
+        # replayed subtrees included.
+        no_best = n_rows + 1
+        nodes = found = 0
         stack: list[list[int]] = []
         while True:
-            if budget is not None:
-                if budget[0] <= 0:
-                    raise SearchBudgetExceeded
-                budget[0] -= 1
-            if covered == full:
-                yield tuple(sorted(chosen))
+            key = covered << n_rows | alive
+            size = dead.get(key)
+            if size is not None:
+                # the budget as size nodes walked one by one would leave it
+                if budget is not None:
+                    if budget[0] < size:
+                        budget[0] = min(budget[0], 0)
+                        raise SearchBudgetExceeded
+                    budget[0] -= size
+                nodes += size
             else:
-                best, best_n = 0, no_best
-                for bit, col in cols:
-                    if covered & bit:
-                        continue
-                    cands = col & alive
-                    k = cands.bit_count()
-                    if k < best_n:
-                        best, best_n = cands, k
-                        if k <= 1:
-                            break
-                if best:
-                    stack.append([covered, alive, best])
-                    chosen.append(-1)
+                if budget is not None:
+                    if budget[0] <= 0:
+                        raise SearchBudgetExceeded
+                    budget[0] -= 1
+                nodes += 1
+                if covered == full:
+                    found += 1
+                    yield tuple(sorted(chosen))
+                else:
+                    best, best_n = 0, no_best
+                    for bit, col in cols:
+                        if covered & bit:
+                            continue
+                        cands = col & alive
+                        k = cands.bit_count()
+                        if k < best_n:
+                            best, best_n = cands, k
+                            if k <= 1:
+                                break
+                    if best:
+                        stack.append([key, covered, alive, best, nodes - 1, found])
+                        chosen.append(-1)
             while stack:
                 top = stack[-1]
-                untried = top[2]
+                untried = top[3]
                 if untried:
                     low = untried & -untried
-                    top[2] = untried ^ low
+                    top[3] = untried ^ low
                     idx = low.bit_length() - 1
                     chosen[-1] = idx
-                    covered = top[0] | rows[idx]
-                    alive = top[1] & keep[idx]
+                    covered = top[1] | rows[idx]
+                    alive = top[2] & keep[idx]
                     break
                 stack.pop()
                 chosen.pop()
+                if top[5] == found:
+                    if len(dead) >= DEAD_MAX:
+                        dead.clear()
+                    dead[top[0]] = nodes - top[4]
             else:
                 return
 
@@ -178,8 +237,10 @@ def edge_masks(spec: GraphSpec, perms: Sequence[Perm]) -> list[int]:
     A set of masks exactly covers the spec.n * degree(spec) edge columns
     when its matchings form a 1-factorization.
     """
-    edge = {e: k for k, e in enumerate(spec.edges())}
-    return [sum(1 << edge[(i, x)] for i, x in enumerate(p, start=1)) for p in perms]
+    bits: list[dict[int, int]] = [{} for _ in range(spec.n)]
+    for k, (i, x) in enumerate(spec.edges()):
+        bits[i - 1][x] = 1 << k
+    return [sum(map(dict.__getitem__, bits, p)) for p in perms]
 
 
 def matching_index(spec: GraphSpec) -> tuple[list[Perm], CoverIndex]:

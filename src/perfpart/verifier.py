@@ -356,7 +356,9 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
         if not set(map(type, _images(parts))) <= {int}:
             bad = next(x for x in _images(parts) if type(x) is not int)
             raise TypeError(f"{type(bad).__name__!r} object cannot be interpreted as an integer")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"not a certificate: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"not a certificate: {exc}") from exc
     if graph.n != n:
         raise ValueError(f"stored n={short_repr(n)} contradicts graph size {graph.n}")

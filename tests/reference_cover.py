@@ -3,7 +3,8 @@
 reference_covers is the generator form of the exact-cover search, one Python
 frame per node.  It rebuilds each row's clash set from the column index at
 every choice.  reference_partitions is the outer partition search on one
-CoverIndex of all the graph's matchings, which it never narrows.  Tests
+CoverIndex of all the graph's matchings, which it never narrows and which
+remembers no dead subtree, so both walk every node one by one.  Tests
 compare CoverIndex.covers and perfect_partitions against them: the same
 results in the same order, the same budget left after each one, and
 SearchBudgetExceeded at the same node.
@@ -83,11 +84,19 @@ def reference_covers(
     yield from descend(covered, alive)
 
 
+class Forgetful(dict):
+    """A dead-subtree cache that stores nothing, so CoverIndex.covers replays nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def reference_partitions(
     spec: GraphSpec, budget: list[int] | None = None
 ) -> Iterator[tuple[tuple[Perm, ...], ...]]:
     d = degree(spec)
     matchings, index = matching_index(spec)
+    index.dead = Forgetful()
     if not matchings:
         if d == 0:
             yield ()

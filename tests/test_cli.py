@@ -512,6 +512,26 @@ def test_verify_names_a_certificate_that_is_no_object(run, tmp_path, text, shown
     )
 
 
+@pytest.mark.parametrize(
+    "graph, key",
+    [(None, key) for key in ("n", "graph", "degree", "complete", "parts")]
+    + [("L", "r"), ("L", "m"), ("matrix", "rows")],
+    ids=["n", "graph", "degree", "complete", "parts", "graph.r", "graph.m", "graph.rows"],
+)
+def test_verify_names_a_missing_key(run, tmp_path, graph, key):
+    """A missing key was once worded as its bare KeyError repr: `{}` gave `'n'`."""
+    cert = json.loads("{%s}" % K22_HEADER)
+    cert["graph"] = {"kind": "matrix", "rows": ["11", "11"]}
+    if graph == "L":
+        cert["graph"] = {"kind": "L", "r": 1, "m": 2}
+    del (cert if graph is None else cert["graph"])[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    code, out = run("verify", str(path))
+    assert code == 1
+    assert out == f"FAIL: unreadable certificate: not a certificate: missing key '{key}'\n"
+
+
 def test_verify_deeply_nested_json_is_unreadable(run, tmp_path, capsys):
     """json.load recurses per nesting level; 100,000 levels once ended in a traceback."""
     path = tmp_path / "deep.json"
@@ -734,7 +754,8 @@ def test_json_key_order_is_pinned(run, circulant_file, tmp_path):
     bad.write_text('{"n": 3}')
     code, out = run("verify", str(bad), "--json")
     assert out == (
-        '{"ok": false, "error": "unreadable certificate: not a certificate: \'graph\'"}\n'
+        '{"ok": false, "error": "unreadable certificate: not a certificate: '
+        'missing key \'graph\'"}\n'
     )
 
 

@@ -13,6 +13,7 @@ from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
 from perfpart.search import (
+    DEAD_MAX,
     CoverIndex,
     SearchBudgetExceeded,
     edge_masks,
@@ -25,6 +26,7 @@ from perfpart.tables import canonical_parts, l41_table
 from perfpart.verifier import check_partition, make_certificate
 
 CIRCULANT_ROWS = ["11100", "01110", "00111", "10011", "11001"]
+L17 = from_matrix(["1" * i + "0" + "1" * (6 - i) for i in range(7)])
 
 
 def test_exact_cover_enumerates_all_solutions():
@@ -160,6 +162,53 @@ def test_restrict_keeps_the_rows_and_their_covers(instance):
         assert got == want
 
 
+@settings(max_examples=100)
+@given(search_instances())
+def test_index_matches_a_plain_construction(instance):
+    n_cols, rows, _, _, _ = instance
+    index = CoverIndex(n_cols, rows)
+    col_rows = [sum(1 << i for i, row in enumerate(rows) if row >> c & 1) for c in range(n_cols)]
+    assert index.rows == rows
+    assert index.cols == tuple((1 << c, col) for c, col in enumerate(col_rows))
+    assert index.keep == [
+        ~sum(1 << j for j, other in enumerate(rows) if other & row) for row in rows
+    ]
+    assert index.dead == {}
+
+
+@settings(max_examples=300)
+@given(search_instances())
+def test_a_second_walk_replays_the_reference_tree(instance):
+    # the first walk leaves its dead subtrees in the index; the second one
+    # replays them, and a budget may run out inside a replayed subtree
+    n_cols, rows, alive, forced, budget = instance
+    index = CoverIndex(n_cols, rows)
+    list(index.covers(alive, forced))
+    shared = None if budget is None else [budget]
+    got = search_trace(index.covers(alive, forced, shared), lambda: shared and shared[0])
+    shared = None if budget is None else [budget]
+    want = search_trace(
+        reference_covers(n_cols, rows, alive, forced, shared), lambda: shared and shared[0]
+    )
+    assert got == want
+
+
+def test_a_spent_budget_on_a_remembered_root_is_left_as_it_was():
+    # column 0 forces row 0, which leaves column 2 without a row: the root's
+    # two-node subtree holds no cover, and its key is every row alive
+    rows = [0b011, 0b110]
+    index = CoverIndex(3, rows)
+    assert list(index.covers(index.all_rows)) == []
+    assert index.dead == {index.all_rows: 2}
+    for budget in (-3, 0, 1, 2, 5):
+        shared = [budget]
+        got = search_trace(index.covers(index.all_rows, (), shared), lambda: shared[0])
+        ref = [budget]
+        want = search_trace(reference_covers(3, rows, index.all_rows, (), ref), lambda: ref[0])
+        assert got == want
+    assert got == [("done", 3)]
+
+
 def partitions_trace(spec, budget):
     """perfect_partitions' trace next to the one-index reference's.
 
@@ -234,10 +283,70 @@ def test_l17_search_restricts_and_walks_the_reference_tree(monkeypatch):
         return restrict(index, alive)
 
     monkeypatch.setattr(CoverIndex, "restrict", spy)
-    spec = from_matrix(["1" * i + "0" + "1" * (6 - i) for i in range(7)])
-    got, want = partitions_trace(spec, 20_000)
+    got, want = partitions_trace(L17, 20_000)
     assert got == want
     assert calls and calls[0] == 1854
+
+
+def replay_log(spec, budget):
+    """(nodes spent before it, nodes it charges) for each replayed dead subtree
+    of a budgeted perfect_partitions run, and every CoverIndex the run built."""
+    log, indexes, shared = [], [], [None]
+    init, covers = CoverIndex.__init__, CoverIndex.covers
+
+    class Logged(dict):
+        def get(self, key):
+            size = dict.get(self, key)
+            if size is not None:
+                log.append((budget - shared[0][0], size))
+            return size
+
+    def init_spy(index, n_cols, rows):
+        init(index, n_cols, rows)
+        index.dead = Logged()
+        indexes.append(index)
+
+    def covers_spy(index, alive, forced=(), budget=None):
+        shared[0] = budget
+        return covers(index, alive, forced, budget)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(CoverIndex, "__init__", init_spy)
+        monkeypatch.setattr(CoverIndex, "covers", covers_spy)
+        try:
+            find_perfect_partition(spec, budget)
+        except SearchBudgetExceeded:
+            pass
+    return log, indexes
+
+
+def test_l17_search_replays_dead_subtrees_and_walks_the_reference_tree():
+    log, indexes = replay_log(L17, 100_000)
+    assert len(log) > 0
+    assert all(len(index.dead) <= DEAD_MAX for index in indexes)
+    got, want = partitions_trace(L17, 100_000)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "spec, budget", [(from_matrix(["11111"] * 5), 15003), (L17, 20_000)], ids=["k55", "l17"]
+)
+def test_a_budget_that_ends_inside_a_replayed_subtree(spec, budget):
+    log, _ = replay_log(spec, budget)
+    inside = [(spent, size) for spent, size in log if size > 1]
+    for spent, size in (inside[0], max(inside, key=lambda hit: hit[1]), inside[-1]):
+        got, want = partitions_trace(spec, spent + size // 2)
+        assert got == want
+        assert got[-1] == ("budget exceeded", 0)
+
+
+def test_a_full_cache_is_cleared_and_the_tree_is_unchanged(monkeypatch):
+    monkeypatch.setattr(search, "DEAD_MAX", 8)
+    log, indexes = replay_log(L17, 20_000)
+    assert len(log) > 0
+    assert all(len(index.dead) <= 8 for index in indexes)
+    got, want = partitions_trace(L17, 20_000)
+    assert got == want
 
 
 def test_exact_cover_node_count_on_l61():
