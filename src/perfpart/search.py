@@ -20,12 +20,15 @@ explicit stack rather than the Python call stack, because a graph can need
 thousands of parts and a cover thousands of rows.
 
 The walk below an inner node depends only on the node's covered and alive
-bitsets and the index, so each index remembers, up to DEAD_MAX of them, the
-subtrees it walked to the end without a cover, with the nodes each took.  A
-node that enters a remembered state charges those nodes to the budget and
-backtracks.  The search tree, its node count, the node where a budget runs
-out and every result stay those of the node-by-node walk; on L(1, 7) two
-thirds of the inner nodes of a 10**5-node search are skipped this way.
+bitsets and the index, so each index remembers, up to FINISHED_MAX of them,
+the subtrees it walked to the end: the nodes each took and, when it held any,
+each cover with the nodes up to it and the rows it chose below the subtree's
+root.  A node that enters a remembered state replays it: it charges the nodes
+up to each cover to the budget, yields the cover, charges the rest and
+backtracks.  So the search tree, its node count, every result, the budget
+left after each one and the node where a budget runs out stay those of the
+node-by-node walk; on L(1, 7) four fifths of the inner nodes of a
+10**5-node search are replayed, not walked.
 
 Everything is deterministic: matchings are taken in lexicographic order and
 candidates are tried in ascending index order.
@@ -40,18 +43,31 @@ from .matchings import enumerate_matchings
 from .perm_core import Perm
 
 
-# Most dead subtrees one CoverIndex remembers; a full cache is cleared.  An
-# entry costs about width / 7.5 + 90 bytes (an int keeps 30 bits in 4 bytes),
-# width being the index's rows plus columns in bits: at most 1.4 MB at this
-# bound on L(1, 7) (1854 rows, 49 columns), and at most 13.5 MB on the widest
-# index search builds (MATCHINGS_MAX rows, at most 64 * 64 edge columns),
-# about a quarter of that index's keep.  Each index that restrict builds has
-# its own cache, and the widths at least halve down a search path, so the
-# caches on one path hold at most about twice the widest one's bound.  The
-# inner level of a 10**5-node L(1, 7) search processes 96,794 nodes with no
-# cache, 36,662 at a bound of 2048, 32,899 at 4096 and 31,361 at 8192, where
-# the cache stops filling.
-DEAD_MAX = 4096
+# Most finished subtrees one CoverIndex remembers; a full cache is cleared.
+# An entry's key costs about width / 7.5 + 60 bytes with its dict slot (an
+# int keeps 30 bits in 4 bytes), width being the index's rows plus columns in
+# bits, and an entry with covers adds about 100 bytes plus 110 + 8 * d per
+# cover, d being the rows in a cover.  At this bound the keys take at most
+# 5.1 MB on L(1, 7) (1854 rows, 42 columns, d = 6) and 54 MB on the widest
+# index search builds (MATCHINGS_MAX rows, at most 64 * 64 edge columns, so
+# about that index's keep); covers, at most COVERS_MAX an entry, add at most
+# 12 MB and 42 MB.  Each index that restrict builds has its own cache, and
+# the widths at least halve down a search path, so the keys on one path take
+# at most about twice the widest index's.  The inner level of a 10**5-node
+# L(1, 7) search walks 96,794 nodes with no cache, 26,970 at a bound of
+# 2048, 22,889 at 4096, 20,001 at 8192 and 18,245 at 16,384, where the cache
+# stops filling; its narrowest index, 228 rows, then holds 10,389 entries
+# with 3,014 covers in about 1.6 MB.
+FINISHED_MAX = 16384
+
+# Most covers a remembered subtree may hold; one that yielded more is not
+# remembered.  Subtrees with more covers are rarely entered again: at 16 in
+# place of 4, the search above walks 3 fewer nodes.
+COVERS_MAX = 4
+
+# A cover node as a remembered subtree: one node, whose cover takes no row
+# below it.
+LEAF = (1, ((1, ()),))
 
 
 class SearchBudgetExceeded(Exception):
@@ -68,12 +84,15 @@ class CoverIndex:
     idx (idx included), so choosing a row is one AND of alive with keep[idx];
     keep costs about len(rows)**2 / 8 bytes.  This is the bitset form of
     Knuth's Dancing Links: undoing a choice is free because each node keeps
-    its own alive set.  dead maps covered << len(rows) | alive, the root of a
-    subtree that covers walked to the end without a cover, to the nodes that
-    subtree took; it holds at most DEAD_MAX entries.
+    its own alive set.  finished maps covered << len(rows) | alive, the root
+    of a subtree that covers walked to the end, to the nodes that subtree took
+    when it held no cover, and else to (nodes, covers), each cover being (the
+    nodes up to and including it, the rows chosen below the root, in the
+    order chosen).  It holds at most FINISHED_MAX entries, each with at most
+    COVERS_MAX covers.
     """
 
-    __slots__ = ("rows", "full", "all_rows", "keep", "cols", "dead")
+    __slots__ = ("rows", "full", "all_rows", "keep", "cols", "finished")
 
     def __init__(self, n_cols: int, rows: Sequence[int]) -> None:
         self.rows = list(rows)
@@ -85,6 +104,11 @@ class CoverIndex:
         digits = [bytearray(b"0" * (n_rows + 1)) for _ in range(n_cols)]
         row_cols = []
         for idx, mask in enumerate(self.rows):
+            if not 0 <= mask <= self.full:
+                if mask < 0:
+                    raise ValueError(f"row {idx} is a negative mask: {mask}")
+                col = mask.bit_length() - 1
+                raise ValueError(f"row {idx} covers column {col}, outside 0..{n_cols - 1}")
             at = n_rows - idx
             cols = []
             m = mask
@@ -103,7 +127,7 @@ class CoverIndex:
                 clash |= col_rows[col]
             self.keep.append(~clash)
         self.cols = tuple((1 << c, col) for c, col in enumerate(col_rows))
-        self.dead: dict[int, int] = {}
+        self.finished: dict[int, int | tuple] = {}
 
     def restrict(self, alive: int) -> tuple[list[int], CoverIndex]:
         """The alive rows' ids in ascending order, and an index over just those rows.
@@ -133,15 +157,18 @@ class CoverIndex:
         single-element mutable list of remaining search nodes shared with the
         caller; it raises SearchBudgetExceeded at zero.
 
-        Entering a state stored in dead, in this call or a later one, charges
-        the stored node count to the budget and backtracks, as walking that
-        subtree again would: the walk below a node reads only its covered and
-        alive bitsets and this index.
+        Entering a state stored in finished, in this call or a later one,
+        replays its subtree as walking it again would: the nodes up to each
+        cover are charged to the budget before the cover is yielded, and the
+        rest after the last one.  The walk below a node reads only its covered
+        and alive bitsets and this index, so the replay is exact.
         """
-        rows, full, keep, cols, dead = self.rows, self.full, self.keep, self.cols, self.dead
+        rows, full, keep, cols, finished = (
+            self.rows, self.full, self.keep, self.cols, self.finished
+        )
         n_rows = len(rows)
         # rows past the index never count as candidates; dropping them keeps
-        # the dead key covered << n_rows | alive one-to-one
+        # the key covered << n_rows | alive one-to-one
         alive &= self.all_rows
         covered = 0
         chosen = list(forced)
@@ -154,46 +181,62 @@ class CoverIndex:
         # Explicit DFS stack, one [key, covered, alive, untried candidates,
         # nodes before it, covers before it] entry per open node on the
         # current path; the last len(stack) entries of chosen are the rows
-        # taken from them.  (covered, alive) is the node being entered; nodes
+        # taken from them.  (covered, alive) is the node being entered.  nodes
         # and found count the nodes entered and the covers yielded so far,
-        # replayed subtrees included.
+        # replayed subtrees included.  log holds, for at least the last
+        # COVERS_MAX covers, (nodes, the cover's rows in the order chosen).
         no_best = n_rows + 1
         nodes = found = 0
+        log: list[tuple[int, tuple[int, ...]]] = []
         stack: list[list[int]] = []
         while True:
             key = covered << n_rows | alive
-            size = dead.get(key)
-            if size is not None:
-                # the budget as size nodes walked one by one would leave it
-                if budget is not None:
-                    if budget[0] < size:
-                        budget[0] = min(budget[0], 0)
-                        raise SearchBudgetExceeded
-                    budget[0] -= size
-                nodes += size
-            else:
+            entry = finished.get(key)
+            if entry is None and covered != full:
                 if budget is not None:
                     if budget[0] <= 0:
                         raise SearchBudgetExceeded
                     budget[0] -= 1
                 nodes += 1
-                if covered == full:
+                best, best_n = 0, no_best
+                for bit, col in cols:
+                    if covered & bit:
+                        continue
+                    cands = col & alive
+                    k = cands.bit_count()
+                    if k < best_n:
+                        best, best_n = cands, k
+                        if k <= 1:
+                            break
+                if best:
+                    stack.append([key, covered, alive, best, nodes - 1, found])
+                    chosen.append(-1)
+            else:
+                # a remembered subtree or a cover node: charge the nodes up to
+                # each cover, then the rest, as walking the subtree would
+                if entry is None:
+                    entry = LEAF
+                size, below_covers = (entry, ()) if entry.__class__ is int else entry
+                at = 0
+                for offset, below in below_covers:
+                    if budget is not None:
+                        if budget[0] < offset - at:
+                            budget[0] = min(budget[0], 0)
+                            raise SearchBudgetExceeded
+                        budget[0] -= offset - at
+                    at = offset
+                    path = (*chosen, *below)
                     found += 1
-                    yield tuple(sorted(chosen))
-                else:
-                    best, best_n = 0, no_best
-                    for bit, col in cols:
-                        if covered & bit:
-                            continue
-                        cands = col & alive
-                        k = cands.bit_count()
-                        if k < best_n:
-                            best, best_n = cands, k
-                            if k <= 1:
-                                break
-                    if best:
-                        stack.append([key, covered, alive, best, nodes - 1, found])
-                        chosen.append(-1)
+                    log.append((nodes + offset, path))
+                    if len(log) > 2 * COVERS_MAX:
+                        del log[:COVERS_MAX]
+                    yield tuple(sorted(path))
+                if budget is not None:
+                    if budget[0] < size - at:
+                        budget[0] = min(budget[0], 0)
+                        raise SearchBudgetExceeded
+                    budget[0] -= size - at
+                nodes += size
             while stack:
                 top = stack[-1]
                 untried = top[3]
@@ -207,10 +250,17 @@ class CoverIndex:
                     break
                 stack.pop()
                 chosen.pop()
-                if top[5] == found:
-                    if len(dead) >= DEAD_MAX:
-                        dead.clear()
-                    dead[top[0]] = nodes - top[4]
+                n_found = found - top[5]
+                if n_found > COVERS_MAX:
+                    continue
+                base = top[4]
+                entry = nodes - base
+                if n_found:
+                    cut = len(chosen)
+                    entry = entry, tuple((at - base, path[cut:]) for at, path in log[-n_found:])
+                if len(finished) >= FINISHED_MAX:
+                    finished.clear()
+                finished[top[0]] = entry
             else:
                 return
 

@@ -4,7 +4,7 @@ reference_covers is the generator form of the exact-cover search, one Python
 frame per node.  It rebuilds each row's clash set from the column index at
 every choice.  reference_partitions is the outer partition search on one
 CoverIndex of all the graph's matchings, which it never narrows and which
-remembers no dead subtree, so both walk every node one by one.  Tests
+remembers no finished subtree, so both walk every node one by one.  Tests
 compare CoverIndex.covers and perfect_partitions against them: the same
 results in the same order, the same budget left after each one, and
 SearchBudgetExceeded at the same node.
@@ -85,7 +85,8 @@ def reference_covers(
 
 
 class Forgetful(dict):
-    """A dead-subtree cache that stores nothing, so CoverIndex.covers replays nothing."""
+    """A finished-subtree cache that stores nothing, so CoverIndex.covers replays
+    no subtree: it walks every node, a cover node as a one-node replay."""
 
     def __setitem__(self, key, value):
         pass
@@ -96,7 +97,7 @@ def reference_partitions(
 ) -> Iterator[tuple[tuple[Perm, ...], ...]]:
     d = degree(spec)
     matchings, index = matching_index(spec)
-    index.dead = Forgetful()
+    index.finished = Forgetful()
     if not matchings:
         if d == 0:
             yield ()

@@ -18,12 +18,7 @@ from perfpart.construct_group import knn_partition
 from perfpart.graph_model import from_matrix, l_graph, row_strings
 from perfpart.perm_core import to_cycles
 from perfpart.tables import l61_golden_parts
-from perfpart.verifier import (
-    ExtendabilityReport,
-    load_certificate,
-    make_certificate,
-    save_certificate,
-)
+from perfpart.verifier import load_certificate, make_certificate, save_certificate
 
 CIRCULANT_ROWS = "11100\n01110\n00111\n10011\n11001\n"
 
@@ -697,26 +692,6 @@ def test_check_extendability(run, circulant_file):
 
     code, out = run("check", "--r", "1", "--m", "4", "--json")
     assert code == 0 and json.loads(out) == {"total": 9, "blocked": []}
-
-
-def test_check_reports_blocked_matchings(run, monkeypatch):
-    """check_extendability can report blocked matchings (every matching of a
-    graph that is not regular), though check refuses every such graph; a
-    stand-in report shows how the CLI words and exits on one."""
-    calls = []
-
-    def one_blocked(spec):
-        calls.append(spec)
-        return ExtendabilityReport(total=9, blocked=[(2, 1, 4, 3)])
-
-    monkeypatch.setattr("perfpart.cli.check_extendability", one_blocked)
-    code, out = run("check", "--r", "1", "--m", "4")
-    assert code == 1
-    assert out.splitlines() == ["FAIL: 1 of 9 matchings blocked", "  (1 2)(3 4)"]
-    code, out = run("check", "--r", "1", "--m", "4", "--json")
-    assert code == 1
-    assert out == '{"blocked": ["(1 2)(3 4)"], "total": 9}\n'
-    assert [(s.r, s.m) for s in calls] == [(1, 4), (1, 4)]
 
 
 def test_check_of_the_largest_matrix_is_quick(run, tmp_path):

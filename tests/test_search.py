@@ -1,5 +1,6 @@
 """Exact-cover search: factorizations, whole partitions, budgets."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,8 @@ from perfpart.graph_model import degree, from_matrix, l_graph
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
 from perfpart.search import (
-    DEAD_MAX,
+    COVERS_MAX,
+    FINISHED_MAX,
     CoverIndex,
     SearchBudgetExceeded,
     edge_masks,
@@ -44,6 +46,16 @@ def test_exact_cover_respects_forced_rows():
 
 def test_exact_cover_on_unsatisfiable_column():
     assert list(exact_cover(2, [0b01])) == []
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [([0b100], "row 0 covers column 2, outside 0..1"), ([-1], "row 0 is a negative mask: -1")],
+    ids=["column-outside", "negative-mask"],
+)
+def test_exact_cover_names_a_bad_row(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        list(exact_cover(2, rows))
 
 
 def test_exact_cover_budget():
@@ -173,17 +185,35 @@ def test_index_matches_a_plain_construction(instance):
     assert index.keep == [
         ~sum(1 << j for j, other in enumerate(rows) if other & row) for row in rows
     ]
-    assert index.dead == {}
+    assert index.finished == {}
+
+
+class Lookups(dict):
+    """A finished-subtree cache that records what each lookup found."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.found = []
+
+    def get(self, key):
+        entry = dict.get(self, key)
+        self.found.append(entry)
+        return entry
 
 
 @settings(max_examples=300)
 @given(search_instances())
 def test_a_second_walk_replays_the_reference_tree(instance):
-    # the first walk leaves its dead subtrees in the index; the second one
-    # replays them, and a budget may run out inside a replayed subtree
+    # the first walk leaves its finished subtrees in the index, the root's
+    # among them when it took more than one node and yielded at most
+    # COVERS_MAX covers; the second walk replays them, and a budget may run
+    # out anywhere inside a replayed subtree
     n_cols, rows, alive, forced, budget = instance
     index = CoverIndex(n_cols, rows)
-    list(index.covers(alive, forced))
+    spent = [10**6]
+    first = list(index.covers(alive, forced, spent))
+    nodes = 10**6 - spent[0]
+    index.finished = Lookups(index.finished)
     shared = None if budget is None else [budget]
     got = search_trace(index.covers(alive, forced, shared), lambda: shared and shared[0])
     shared = None if budget is None else [budget]
@@ -191,6 +221,11 @@ def test_a_second_walk_replays_the_reference_tree(instance):
         reference_covers(n_cols, rows, alive, forced, shared), lambda: shared and shared[0]
     )
     assert got == want
+    if nodes > 1 and len(first) <= COVERS_MAX:
+        root = index.finished.found[0]
+        size, covers = (root, ()) if isinstance(root, int) else root
+        assert size == nodes
+        assert [tuple(sorted((*forced, *below))) for _, below in covers] == first
 
 
 def test_a_spent_budget_on_a_remembered_root_is_left_as_it_was():
@@ -199,7 +234,7 @@ def test_a_spent_budget_on_a_remembered_root_is_left_as_it_was():
     rows = [0b011, 0b110]
     index = CoverIndex(3, rows)
     assert list(index.covers(index.all_rows)) == []
-    assert index.dead == {index.all_rows: 2}
+    assert index.finished == {index.all_rows: 2}
     for budget in (-3, 0, 1, 2, 5):
         shared = [budget]
         got = search_trace(index.covers(index.all_rows, (), shared), lambda: shared[0])
@@ -207,20 +242,37 @@ def test_a_spent_budget_on_a_remembered_root_is_left_as_it_was():
         want = search_trace(reference_covers(3, rows, index.all_rows, (), ref), lambda: ref[0])
         assert got == want
     assert got == [("done", 3)]
+    # columns 0 and 1 tie, so column 0 branches: rows 0 and 1 make one cover
+    # and row 2 the other, at nodes 3 and 4 of the root's four-node subtree
+    rows = [0b01, 0b10, 0b11]
+    index = CoverIndex(2, rows)
+    assert list(index.covers(index.all_rows)) == [(0, 1), (2,)]
+    assert index.finished[index.all_rows] == (4, ((3, (0, 1)), (4, (2,))))
+    for budget in range(-3, 6):
+        shared = [budget]
+        got = search_trace(index.covers(index.all_rows, (), shared), lambda: shared[0])
+        ref = [budget]
+        want = search_trace(reference_covers(2, rows, index.all_rows, (), ref), lambda: ref[0])
+        assert got == want
+    assert got == [((0, 1), 2), ((2,), 1), ("done", 1)]
 
 
 def partitions_trace(spec, budget):
     """perfect_partitions' trace next to the one-index reference's.
 
     perfect_partitions keeps its budget in a list that it passes to every
-    covers call; a spy on covers lends that list to the trace.
+    covers call; a spy on covers lends that list to the trace.  The spy also
+    logs each inner cover, as its rows' edge masks, which narrowing an index
+    keeps, with the budget left after it, and the two logs must agree.
     """
-    shared = [None]
+    shared, log = [None], []
     covers = CoverIndex.covers
 
     def spy(index, alive, forced=(), budget=None):
         shared[0] = budget
-        return covers(index, alive, forced, budget)
+        for cover in covers(index, alive, forced, budget):
+            log.append(([index.rows[i] for i in cover], budget and budget[0]))
+            yield cover
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(CoverIndex, "covers", spy)
@@ -228,8 +280,11 @@ def partitions_trace(spec, budget):
             perfect_partitions(spec, budget),
             lambda: shared[0][0] if shared[0] else budget,
         )
-    ref = None if budget is None else [budget]
-    want = search_trace(reference_partitions(spec, ref), lambda: ref and ref[0])
+        got_inner = log[:]
+        log.clear()
+        ref = None if budget is None else [budget]
+        want = search_trace(reference_partitions(spec, ref), lambda: ref and ref[0])
+    assert got_inner == log
     return got, want
 
 
@@ -289,21 +344,41 @@ def test_l17_search_restricts_and_walks_the_reference_tree(monkeypatch):
 
 
 def replay_log(spec, budget):
-    """(nodes spent before it, nodes it charges) for each replayed dead subtree
-    of a budgeted perfect_partitions run, and every CoverIndex the run built."""
+    """Each remembered subtree a budgeted perfect_partitions run replays, and
+    every CoverIndex the run built.
+
+    A replay is (entry, spent): the entry as the cache holds it, and the nodes
+    spent when the replay began and, for an entry with covers, when it
+    resumed after each of them.  Between a cover and the resume the outer
+    level spends nodes of its own.  spent is one longer than the entry's
+    covers when the replay ran to its end.
+    """
     log, indexes, shared = [], [], [None]
     init, covers = CoverIndex.__init__, CoverIndex.covers
 
+    def spent():
+        return budget - shared[0][0]
+
     class Logged(dict):
         def get(self, key):
-            size = dict.get(self, key)
-            if size is not None:
-                log.append((budget - shared[0][0], size))
-            return size
+            entry = dict.get(self, key)
+            if entry is None:
+                return None
+            times = [spent()]
+            log.append((entry, times))
+            if isinstance(entry, int):
+                return entry
+
+            def resumes():
+                for cover in entry[1]:
+                    yield cover
+                    times.append(spent())
+
+            return entry[0], resumes()
 
     def init_spy(index, n_cols, rows):
         init(index, n_cols, rows)
-        index.dead = Logged()
+        index.finished = Logged()
         indexes.append(index)
 
     def covers_spy(index, alive, forced=(), budget=None):
@@ -322,9 +397,17 @@ def replay_log(spec, budget):
 
 def test_l17_search_replays_dead_subtrees_and_walks_the_reference_tree():
     log, indexes = replay_log(L17, 100_000)
-    assert len(log) > 0
-    assert all(len(index.dead) <= DEAD_MAX for index in indexes)
+    assert any(isinstance(entry, int) for entry, _ in log)
+    assert any(not isinstance(entry, int) for entry, _ in log)
+    assert all(len(index.finished) <= FINISHED_MAX for index in indexes)
     got, want = partitions_trace(L17, 100_000)
+    assert got == want
+
+
+def test_l62_search_replays_subtrees_with_covers_and_walks_the_reference_tree():
+    log, _ = replay_log(l_graph(2, 3), 100_000)
+    assert any(not isinstance(entry, int) for entry, _ in log)
+    got, want = partitions_trace(l_graph(2, 3), 100_000)
     assert got == want
 
 
@@ -333,18 +416,49 @@ def test_l17_search_replays_dead_subtrees_and_walks_the_reference_tree():
 )
 def test_a_budget_that_ends_inside_a_replayed_subtree(spec, budget):
     log, _ = replay_log(spec, budget)
-    inside = [(spent, size) for spent, size in log if size > 1]
+    inside = [(times[0], entry) for entry, times in log if isinstance(entry, int) and entry > 1]
     for spent, size in (inside[0], max(inside, key=lambda hit: hit[1]), inside[-1]):
         got, want = partitions_trace(spec, spent + size // 2)
         assert got == want
         assert got[-1] == ("budget exceeded", 0)
 
 
+def budgets_between_covers(log):
+    """Budgets that run out strictly between two covers of a replayed subtree,
+    and after its last cover but before its last node, in replay order."""
+    between, after = [], []
+    for entry, times in log:
+        if isinstance(entry, int) or len(times) <= len(entry[1]):
+            continue
+        size, covers = entry
+        offsets = [offset for offset, _ in covers]
+        for k, gap in enumerate(b - a for a, b in zip(offsets, offsets[1:])):
+            if gap > 1:
+                between.append(times[k + 1] + gap // 2)
+        if size - offsets[-1] > 1:
+            after.append(times[-1] + (size - offsets[-1]) // 2)
+    return between, after
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [(l_graph(2, 3), 4593), (from_matrix(["11111"] * 5), 15003), (L17, 20_000)],
+    ids=["l62", "k55", "l17"],
+)
+def test_a_budget_that_ends_between_the_covers_of_a_replayed_subtree(spec, budget):
+    between, after = budgets_between_covers(replay_log(spec, budget)[0])
+    assert between and after
+    for cut in (between[0], between[-1], after[0], after[-1]):
+        got, want = partitions_trace(spec, cut)
+        assert got == want
+        assert got[-1] == ("budget exceeded", 0)
+
+
 def test_a_full_cache_is_cleared_and_the_tree_is_unchanged(monkeypatch):
-    monkeypatch.setattr(search, "DEAD_MAX", 8)
+    monkeypatch.setattr(search, "FINISHED_MAX", 8)
     log, indexes = replay_log(L17, 20_000)
-    assert len(log) > 0
-    assert all(len(index.dead) <= 8 for index in indexes)
+    assert any(not isinstance(entry, int) for entry, _ in log)
+    assert all(len(index.finished) <= 8 for index in indexes)
     got, want = partitions_trace(L17, 20_000)
     assert got == want
 
