@@ -25,13 +25,7 @@ from .matchings import enumerate_matchings, label_l61, label_l82
 from .perm_core import parse_cycles, to_cycles
 from .search import SearchBudgetExceeded, find_perfect_partition, perfect_partitions
 from .tables import diff_parts, l61_golden_parts
-from .verifier import (
-    check_extendability,
-    check_partition,
-    load_certificate,
-    make_certificate,
-    save_certificate,
-)
+from .verifier import check_partition, load_certificate, make_certificate, save_certificate
 
 SEARCH_TARGETS = {"l41": (1, 4), "l51": (1, 5), "l62": (2, 3)}
 
@@ -53,10 +47,8 @@ PERMANENT_MAX_N = 20
 # all of it the import; medians of five runs, 2-CPU VM, Python 3.11).
 # search's exact-cover index keeps one clash bitset per matching, about
 # count**2 / 8 bytes: 0.4 MB on L(1, 7), 28 MB on L(1, 8) and 50 MB at this
-# bound.  Its cache of finished subtrees (search.FINISHED_MAX entries, each
-# with at most search.COVERS_MAX covers) adds at most 5.1 MB of keys and 12 MB
-# of covers on L(1, 7), and 54 MB and 42 MB at this bound.  On K_{9,9} and
-# K_{10,10} search --budget 10 was still listing matchings after 20 s.
+# bound; search.FINISHED_MAX states what its cache of finished subtrees adds.
+# On K_{9,9} and K_{10,10} search --budget 10 was still listing matchings after 20 s.
 MATCHINGS_MAX = 20_000
 
 
@@ -121,8 +113,8 @@ def _save(parser: argparse.ArgumentParser, cert, path: str) -> None:
         parser.error(f"cannot write {path}: {exc}")
 
 
-def _bound_matchings(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
-    """Refuse a graph with more than MATCHINGS_MAX matchings, before any work."""
+def _bound_matchings(parser: argparse.ArgumentParser, spec: GraphSpec) -> int:
+    """The matching count; a usage error past MATCHINGS_MAX, before any work."""
     count = count_up_to(spec, MATCHINGS_MAX)
     if count > MATCHINGS_MAX:
         has = count if spec.kind == "L" else "more"
@@ -130,6 +122,7 @@ def _bound_matchings(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
             f"enumerate, search and check are bounded to {MATCHINGS_MAX} matchings; "
             f"this graph has {has}"
         )
+    return count
 
 
 def _require_regular(parser: argparse.ArgumentParser, spec: GraphSpec) -> None:
@@ -295,7 +288,8 @@ def _cmd_search(parser, args) -> int:
 
     try:
         if args.all:
-            count = sum(1 for _ in perfect_partitions(spec, budget=args.budget))
+            budget = None if args.budget is None else [args.budget]
+            count = sum(1 for _ in perfect_partitions(spec, budget))
             payload = {"partitions": count}
             _emit(args, payload, [f"{count} perfect partition(s)"], sort_keys=False)
             return 0 if (count or not asserted) else 1
@@ -326,8 +320,7 @@ def _cmd_check(parser, args) -> int:
     # check_extendability blocks no matching of a regular graph (König), so
     # once the graph is known to be regular only the count is left to report
     _require_regular(parser, spec)
-    _bound_matchings(parser, spec)
-    total = check_extendability(spec).total
+    total = _bound_matchings(parser, spec)
     lines = [f"OK: all {total} matchings extend to a 1-factorization"]
     _emit(args, {"total": total, "blocked": []}, lines)
     return 0

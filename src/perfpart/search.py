@@ -65,9 +65,9 @@ FINISHED_MAX = 16384
 # place of 4, the search above walks 3 fewer nodes.
 COVERS_MAX = 4
 
-# A cover node as a remembered subtree: one node, whose cover takes no row
-# below it.
-LEAF = (1, ((1, ()),))
+# A cover node as the chunks that replay charges: its one node, whose cover
+# takes no row below it, then no node more.
+LEAF = ((1, ()), (1, None))
 
 
 class SearchBudgetExceeded(Exception):
@@ -153,7 +153,8 @@ class CoverIndex:
 
         Covers come as sorted row-index tuples.  Branching takes the uncovered
         column with the fewest candidates (the lowest such column on ties) and
-        tries its rows in ascending order.  budget, when given, is a
+        tries its rows in ascending order.  A forced row outside the index
+        or given twice is a ValueError.  budget, when given, is a
         single-element mutable list of remaining search nodes shared with the
         caller; it raises SearchBudgetExceeded at zero.
 
@@ -170,13 +171,19 @@ class CoverIndex:
         # rows past the index never count as candidates; dropping them keeps
         # the key covered << n_rows | alive one-to-one
         alive &= self.all_rows
-        covered = 0
-        chosen = list(forced)
+        if len(forced) > 1 and len(set(forced)) < len(forced):
+            twice = next(idx for idx in forced if forced.count(idx) > 1)
+            raise ValueError(f"forced row {twice} is given twice")
+        covered = clash = 0
         for idx in forced:
-            if rows[idx] & covered:
-                return
+            if not 0 <= idx < n_rows:
+                raise ValueError(f"forced row {idx} is outside 0..{n_rows - 1}")
+            clash |= rows[idx] & covered
             covered |= rows[idx]
             alive &= keep[idx]
+        if clash:
+            return
+        chosen = list(forced)
 
         # Explicit DFS stack, one [key, covered, alive, untried candidates,
         # nodes before it, covers before it] entry per open node on the
@@ -215,28 +222,28 @@ class CoverIndex:
                 # a remembered subtree or a cover node: charge the nodes up to
                 # each cover, then the rest, as walking the subtree would
                 if entry is None:
-                    entry = LEAF
-                size, below_covers = (entry, ()) if entry.__class__ is int else entry
+                    chunks = LEAF
+                elif entry.__class__ is int:
+                    chunks = ((entry, None),)
+                else:
+                    chunks = (*entry[1], (entry[0], None))
                 at = 0
-                for offset, below in below_covers:
+                for offset, below in chunks:
                     if budget is not None:
                         if budget[0] < offset - at:
                             budget[0] = min(budget[0], 0)
                             raise SearchBudgetExceeded
                         budget[0] -= offset - at
                     at = offset
+                    if below is None:
+                        break
                     path = (*chosen, *below)
                     found += 1
                     log.append((nodes + offset, path))
                     if len(log) > 2 * COVERS_MAX:
                         del log[:COVERS_MAX]
                     yield tuple(sorted(path))
-                if budget is not None:
-                    if budget[0] < size - at:
-                        budget[0] = min(budget[0], 0)
-                        raise SearchBudgetExceeded
-                    budget[0] -= size - at
-                nodes += size
+                nodes += at
             while stack:
                 top = stack[-1]
                 untried = top[3]
@@ -304,9 +311,7 @@ def matching_index(spec: GraphSpec) -> tuple[list[Perm], CoverIndex]:
 
 
 def find_factorizations(
-    spec: GraphSpec,
-    containing: Perm | None = None,
-    budget: int | None = None,
+    spec: GraphSpec, containing: Perm | None = None
 ) -> Iterator[tuple[Perm, ...]]:
     """Yield 1-factorizations of spec, optionally forced to contain a matching."""
     matchings, index = matching_index(spec)
@@ -315,8 +320,7 @@ def find_factorizations(
         if not is_matching(spec, containing):
             raise ValueError("forced member is not a matching of the graph")
         forced = [matchings.index(tuple(containing))]
-    shared = [budget] if budget is not None else None
-    for sol in index.covers(index.all_rows, forced, shared):
+    for sol in index.covers(index.all_rows, forced):
         yield tuple(matchings[i] for i in sol)
 
 
@@ -340,16 +344,18 @@ def find_perfect_partition(
     result.  precheck applies the divisibility shortcut before searching (a
     failed shortcut is itself a proof of none).
     """
-    return next(perfect_partitions(spec, budget, precheck), None)
+    return next(perfect_partitions(spec, None if budget is None else [budget], precheck), None)
 
 
 def perfect_partitions(
-    spec: GraphSpec, budget: int | None = None, precheck: bool = True
+    spec: GraphSpec, budget: list[int] | None = None, precheck: bool = True
 ) -> Iterator[tuple[tuple[Perm, ...], ...]]:
     """Yield every perfect partition of spec, in the order the search finds them.
 
-    budget and precheck are as in find_perfect_partition; the budget is shared
-    by the whole iteration.
+    budget, when given, is a single-element mutable list of remaining search
+    nodes shared with the caller and charged by both cover levels of the whole
+    iteration; it raises SearchBudgetExceeded at zero.  precheck is as in
+    find_perfect_partition.
     """
     d = degree(spec)
     matchings, index = matching_index(spec)
@@ -359,16 +365,15 @@ def perfect_partitions(
         return
     if precheck and len(matchings) % d != 0:
         return
-    shared = [budget] if budget is not None else None
 
     def next_parts(index: CoverIndex, free: int) -> Iterator[tuple[int, ...]]:
         # One outer node: the parts through the least uncovered matching.
-        if shared is not None:
-            if shared[0] <= 0:
+        if budget is not None:
+            if budget[0] <= 0:
                 raise SearchBudgetExceeded
-            shared[0] -= 1
+            budget[0] -= 1
         anchor = (free & -free).bit_length() - 1
-        return index.covers(free, (anchor,), shared)
+        return index.covers(free, (anchor,), budget)
 
     # Explicit DFS stack: levels[k] holds the candidates for part k, the index
     # they come from, that index's rows as matchings, and the rows free before

@@ -15,6 +15,7 @@ import pytest
 from perfpart import cli
 from perfpart.cli import COMMANDS, main
 from perfpart.construct_group import knn_partition
+from perfpart.counting import count_up_to
 from perfpart.graph_model import from_matrix, l_graph, row_strings
 from perfpart.perm_core import to_cycles
 from perfpart.tables import l61_golden_parts
@@ -565,6 +566,10 @@ def test_search_target_found(run, tmp_path):
 def test_search_all_counts_partitions(run):
     code, out = run("search", "--target", "l41", "--all", "--json")
     assert code == 0 and json.loads(out) == {"partitions": 1}
+    assert run("search", "--target", "l41", "--all", "--budget", "5") == (
+        1,
+        "UNDECIDED: node budget exhausted\n",
+    )
 
 
 def test_search_matrix_none_is_not_an_error(run, circulant_file):
@@ -692,6 +697,23 @@ def test_check_extendability(run, circulant_file):
 
     code, out = run("check", "--r", "1", "--m", "4", "--json")
     assert code == 0 and json.loads(out) == {"total": 9, "blocked": []}
+
+
+def test_check_counts_a_matrix_once(run, monkeypatch, tmp_path):
+    # the matching bound's count is the one check reports
+    calls = []
+
+    def spy(spec, limit):
+        calls.append(limit)
+        return count_up_to(spec, limit)
+
+    for module in ("cli", "verifier"):
+        monkeypatch.setattr(f"perfpart.{module}.count_up_to", spy)
+    path = tmp_path / "k5.txt"
+    path.write_text("11111\n" * 5)
+    code, out = run("check", "--matrix", str(path))
+    assert code == 0 and out == "OK: all 120 matchings extend to a 1-factorization\n"
+    assert len(calls) == 1
 
 
 def test_check_of_the_largest_matrix_is_quick(run, tmp_path):

@@ -49,13 +49,25 @@ def test_exact_cover_on_unsatisfiable_column():
 
 
 @pytest.mark.parametrize(
-    "rows, message",
-    [([0b100], "row 0 covers column 2, outside 0..1"), ([-1], "row 0 is a negative mask: -1")],
-    ids=["column-outside", "negative-mask"],
+    "rows, forced, message",
+    [
+        ([0b100], (), "row 0 covers column 2, outside 0..1"),
+        ([-1], (), "row 0 is a negative mask: -1"),
+        ([0b01, 0b10], [-1], "forced row -1 is outside 0..1"),
+        ([0b01, 0b10], [5], "forced row 5 is outside 0..1"),
+        ([0b01, 0b10, 0], [2, 2], "forced row 2 is given twice"),
+    ],
+    ids=[
+        "column-outside",
+        "negative-mask",
+        "forced-negative",
+        "forced-past-the-rows",
+        "forced-twice",
+    ],
 )
-def test_exact_cover_names_a_bad_row(rows, message):
+def test_exact_cover_names_a_bad_row(rows, forced, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        list(exact_cover(2, rows))
+        list(exact_cover(2, rows, forced))
 
 
 def test_exact_cover_budget():
@@ -129,6 +141,10 @@ def search_instances(draw):
     return n_cols, rows, alive, forced, budget
 
 
+def repeats(forced):
+    return len(set(forced)) < len(forced)
+
+
 def search_trace(results, left):
     # each result with the budget left after it, then how the search ended
     trace = []
@@ -146,6 +162,10 @@ def search_trace(results, left):
 @given(search_instances())
 def test_covers_walks_the_reference_tree(instance):
     n_cols, rows, alive, forced, budget = instance
+    if repeats(forced):
+        with pytest.raises(ValueError, match="is given twice"):
+            list(CoverIndex(n_cols, rows).covers(alive, forced))
+        return
     shared = None if budget is None else [budget]
     got = search_trace(
         CoverIndex(n_cols, rows).covers(alive, forced, shared), lambda: shared and shared[0]
@@ -210,6 +230,10 @@ def test_a_second_walk_replays_the_reference_tree(instance):
     # out anywhere inside a replayed subtree
     n_cols, rows, alive, forced, budget = instance
     index = CoverIndex(n_cols, rows)
+    if repeats(forced):
+        with pytest.raises(ValueError, match="is given twice"):
+            list(index.covers(alive, forced))
+        return
     spent = [10**6]
     first = list(index.covers(alive, forced, spent))
     nodes = 10**6 - spent[0]
@@ -260,26 +284,22 @@ def test_a_spent_budget_on_a_remembered_root_is_left_as_it_was():
 def partitions_trace(spec, budget):
     """perfect_partitions' trace next to the one-index reference's.
 
-    perfect_partitions keeps its budget in a list that it passes to every
-    covers call; a spy on covers lends that list to the trace.  The spy also
-    logs each inner cover, as its rows' edge masks, which narrowing an index
-    keeps, with the budget left after it, and the two logs must agree.
+    A spy on covers logs each inner cover, as its rows' edge masks, which
+    narrowing an index keeps, with the budget left after it, and the two logs
+    must agree.
     """
-    shared, log = [None], []
+    log = []
     covers = CoverIndex.covers
 
     def spy(index, alive, forced=(), budget=None):
-        shared[0] = budget
         for cover in covers(index, alive, forced, budget):
             log.append(([index.rows[i] for i in cover], budget and budget[0]))
             yield cover
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(CoverIndex, "covers", spy)
-        got = search_trace(
-            perfect_partitions(spec, budget),
-            lambda: shared[0][0] if shared[0] else budget,
-        )
+        shared = None if budget is None else [budget]
+        got = search_trace(perfect_partitions(spec, shared), lambda: shared and shared[0])
         got_inner = log[:]
         log.clear()
         ref = None if budget is None else [budget]
@@ -353,11 +373,11 @@ def replay_log(spec, budget):
     level spends nodes of its own.  spent is one longer than the entry's
     covers when the replay ran to its end.
     """
-    log, indexes, shared = [], [], [None]
-    init, covers = CoverIndex.__init__, CoverIndex.covers
+    log, indexes, shared = [], [], [budget]
+    init = CoverIndex.__init__
 
     def spent():
-        return budget - shared[0][0]
+        return budget - shared[0]
 
     class Logged(dict):
         def get(self, key):
@@ -381,15 +401,10 @@ def replay_log(spec, budget):
         index.finished = Logged()
         indexes.append(index)
 
-    def covers_spy(index, alive, forced=(), budget=None):
-        shared[0] = budget
-        return covers(index, alive, forced, budget)
-
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(CoverIndex, "__init__", init_spy)
-        monkeypatch.setattr(CoverIndex, "covers", covers_spy)
         try:
-            find_perfect_partition(spec, budget)
+            next(perfect_partitions(spec, shared), None)
         except SearchBudgetExceeded:
             pass
     return log, indexes
@@ -486,8 +501,11 @@ def test_exact_cover_node_count_on_l61():
     ids=["l51", "l62", "k55"],
 )
 def test_first_partition_costs_exactly_its_node_count(spec, nodes):
-    # the smallest budget that finds a partition pins the two-level search tree
-    assert find_perfect_partition(spec, budget=nodes) is not None
+    # the smallest budget that finds a partition pins the two-level search
+    # tree, and a list passed to perfect_partitions ends at what it spent
+    budget = [10**6]
+    assert next(perfect_partitions(spec, budget)) == find_perfect_partition(spec, budget=nodes)
+    assert 10**6 - budget[0] == nodes
     with pytest.raises(SearchBudgetExceeded):
         find_perfect_partition(spec, budget=nodes - 1)
 
