@@ -374,34 +374,44 @@ COMMANDS = {
 }
 
 
+def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the flags of command name: --json, then its own."""
+    _, add_flags, handler = COMMANDS[name]
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    add_flags(p)
+    p.set_defaults(func=handler, parser=p)
+    return p
+
+
 def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The perfpart parser with the subparser of command alone, or of every
-    command when it is None.  A subparser's prog is fixed by add_subparsers,
-    not by its siblings, so either build prints the same for that command."""
+    """The parser of command alone, which parses what follows its name, or
+    the full perfpart parser with every command as a subparser when it is
+    None.  add_subparsers names a subparser "perfpart <command>", as the top
+    level takes nothing before the command, so both print the same for it."""
+    if command is not None:
+        return _command_parser(argparse.ArgumentParser(prog=f"perfpart {command}"), command)
     parser = argparse.ArgumentParser(
         prog="perfpart",
         description="Count, enumerate, construct, verify and search perfect "
         "partitions of K_{n,n} minus diagonal holes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
-    for name, (help_text, add_flags, handler) in COMMANDS.items():
-        if command in (None, name):
-            p = subs.add_parser(name, parents=[json_flag], help=help_text)
-            add_flags(p)
-            p.set_defaults(func=handler, parser=p)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_parser(subs.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse never abbreviates a subcommand, so anything but an exact name
-    # (-h, nothing, a typo) gets the full parser and its list of choices
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args, unknown = _parser(command).parse_known_args(argv)
+    # argparse never abbreviates a subcommand, so an exact name is parsed by
+    # its own parser alone; anything else (-h, nothing, a typo) gets the full
+    # parser and its list of choices
+    if argv and argv[0] in COMMANDS:
+        args, unknown = _parser(argv[0]).parse_known_args(argv[1:])
+    else:
+        args, unknown = _parser().parse_known_args(argv)
     if unknown:
-        # parse_args would word this with the top-level usage line
+        # the full parser's parse_args would word this with its top-level usage line
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args.parser, args)

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -7,7 +8,6 @@ import os
 import subprocess
 import sys
 import time
-from argparse import _SubParsersAction
 from collections import Counter
 
 import pytest
@@ -883,25 +883,53 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert json.loads(proc.stdout)["count"] == 9
 
 
-def _outcome(capsys, *argv):
+def _outcome(capsys, *argv, via=main):
     try:
-        code = main(list(argv))
+        code = via(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def _main_on_the_full_parser(argv):
+    """main's steps, with the parser that holds every subcommand parsing the
+    whole argv, the command's name included."""
+    args, unknown = cli._parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args.func(args.parser, args)
+
+
+# help, an unknown flag, no flags, a bad value, an extra positional, "--", an
+# abbreviated flag and flags given with "="
+ARGV_SHAPES = [
+    ("-h",),
+    ("--no-such-flag",),
+    (),
+    ("--r", "x"),
+    ("extra",),
+    ("--", "word"),
+    ("--ma", "circulant.txt"),
+    ("--r=1", "--m=4"),
+]
+
+
 @pytest.mark.parametrize("name", COMMANDS)
-def test_one_subparser_prints_what_the_full_parser_does(name, monkeypatch, capsys):
-    """main builds only the invoked subcommand's parser; its help and its usage
-    errors must read as they do when every subparser is built."""
-    lean = [_outcome(capsys, name, "-h"), _outcome(capsys, name, "--no-such-flag")]
-    full = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda command=None: full())
-    assert [_outcome(capsys, name, "-h"), _outcome(capsys, name, "--no-such-flag")] == lean
-    assert lean[0][0] == 0 and lean[0][1].startswith(f"usage: perfpart {name} ")
-    assert lean[1][0] == 2 and lean[1][2].startswith(f"usage: perfpart {name} ")
+def test_one_subparser_prints_what_the_full_parser_does(name, tmp_path, monkeypatch, capsys):
+    """main parses what follows a command's name with that command's parser
+    alone; its help, its usage errors and its output must read as they do
+    when the full parser parses the whole argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "circulant.txt").write_text(CIRCULANT_ROWS)
+    for shape in ARGV_SHAPES:
+        lean = _outcome(capsys, name, *shape)
+        assert _outcome(capsys, name, *shape, via=_main_on_the_full_parser) == lean, shape
+        if shape == ("-h",):
+            assert lean[0] == 0 and lean[1].startswith(f"usage: perfpart {name} ")
+        elif shape == ("--no-such-flag",):
+            assert lean[0] == 2 and lean[2].startswith(f"usage: perfpart {name} ")
 
 
 @pytest.mark.parametrize("argv", [("-h",), (), ("bogus",), ("chec",)])
@@ -911,14 +939,19 @@ def test_anything_but_a_subcommand_lists_all_six(argv, capsys):
     assert "{count,enumerate,construct,verify,search,check}" in out + err
 
 
-def test_a_command_builds_its_own_subparser_only(run, monkeypatch):
-    calls = []
-    add_parser = _SubParsersAction.add_parser
+def test_a_command_builds_its_own_subparser_only(monkeypatch, capsys):
+    """A command's name builds one ArgumentParser, its own, with no top level
+    and no --json parent; -h still builds the full parser."""
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(_SubParsersAction, "add_parser", spy)
-    assert run("check", "--r", "1", "--m", "6")[0] == 0
-    assert calls == ["check"]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert _outcome(capsys, "check", "--r", "1", "--m", "6")[0] == 0
+    assert built == ["perfpart check"]
+    built.clear()
+    assert _outcome(capsys, "-h")[0] == 0
+    assert len(built) > 1 and built[0] == "perfpart"
