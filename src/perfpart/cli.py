@@ -1,6 +1,8 @@
 """Command-line front end: count, enumerate, construct, verify, search, check.
 
-Thin sequential shell over the library.  Exit codes: 0 on success/verified/
+Thin sequential shell over the library.  The first word names the command,
+and that command's parser alone reads the rest; any other argv only gets the
+list of commands, as help or a usage error.  Exit codes: 0 on success/verified/
 found, 1 on verification failure, a proven NONE where a target asserts
 existence or a failed write of stdout, 2 on usage errors.  `--json` switches
 machine-readable output on.
@@ -15,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict
 from itertools import chain
+from typing import NoReturn
 
 from .construct_group import knn_partition, l2nn_partition
 from .construct_l61 import DEFAULT_Y0, build_l61
@@ -374,22 +377,19 @@ COMMANDS = {
 }
 
 
-def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give p the flags of command name: --json, then its own."""
-    _, add_flags, handler = COMMANDS[name]
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    add_flags(p)
-    p.set_defaults(func=handler, parser=p)
-    return p
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The parser of command alone, which parses the words after its name:
+    --json, then the command's own flags."""
+    parser = argparse.ArgumentParser(prog=f"perfpart {command}")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    COMMANDS[command][1](parser)
+    return parser
 
 
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of command alone, which parses what follows its name, or
-    the full perfpart parser with every command as a subparser when it is
-    None.  add_subparsers names a subparser "perfpart <command>", as the top
-    level takes nothing before the command, so both print the same for it."""
-    if command is not None:
-        return _command_parser(argparse.ArgumentParser(prog=f"perfpart {command}"), command)
+def _list_commands(argv) -> NoReturn:
+    """Print the top-level help (exit 0) or a usage error (exit 2) for an argv
+    whose first word names no command.  The subparsers hold a name and a help
+    string only, so whatever follows a name is an unrecognized argument."""
     parser = argparse.ArgumentParser(
         prog="perfpart",
         description="Count, enumerate, construct, verify and search perfect "
@@ -397,24 +397,22 @@ def _parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in COMMANDS.items():
-        _command_parser(subs.add_parser(name, help=help_text), name)
-    return parser
+        subs.add_parser(name, help=help_text, add_help=False)
+    parser.parse_args(argv)
+    # a Python whose argparse drops "--" before the name gets this far
+    parser.error("a command's name must be the first argument")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse never abbreviates a subcommand, so an exact name is parsed by
-    # its own parser alone; anything else (-h, nothing, a typo) gets the full
-    # parser and its list of choices
-    if argv and argv[0] in COMMANDS:
-        args, unknown = _parser(argv[0]).parse_known_args(argv[1:])
-    else:
-        args, unknown = _parser().parse_known_args(argv)
-    if unknown:
-        # the full parser's parse_args would word this with its top-level usage line
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    # argparse never abbreviates a subcommand, so only an exact name runs one
+    if not argv or argv[0] not in COMMANDS:
+        _list_commands(argv)
+    name = argv[0]
+    parser = _parser(name)
+    args = parser.parse_args(argv[1:])
     try:
-        return args.func(args.parser, args)
+        return COMMANDS[name][2](parser, args)
     except BrokenPipeError:
         # downstream pager/head closed the stream; not an error of ours
         _drop_stdout()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from itertools import islice
 
-from .graph_model import GraphSpec, degree
+from .graph_model import GraphSpec, degree, l_size
 from .matchings import enumerate_matchings
 
 
@@ -45,15 +45,9 @@ def count_matchings(r: int, m: int | None = None, n: int | None = None) -> int:
     With a_k the k-th coefficient of the m-th power of the hole rook
     polynomial, the count is sum_k (-1)^k a_k (n-k)!.  r = 0 gives n!.
     """
+    size = l_size(r, m, n)
     if r == 0:
-        if n is None:
-            raise ValueError("r=0 needs an explicit n")
-        return math.factorial(n)
-    if m is None or m < 1:
-        raise ValueError("m must be >= 1 when r >= 1")
-    size = r * m
-    if n is not None and n != size:
-        raise ValueError(f"n={n} contradicts r*m={size}")
+        return math.factorial(size)
     coeffs = poly_pow(rook_block(r), m)
     return sum(
         (-1) ** k * a_k * math.factorial(size - k)

@@ -62,8 +62,12 @@ class GraphSpec:
         ]
 
 
-def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
-    """Build L(r, m); with r = 0 build K_{n,n} for an explicit n."""
+def l_size(r: int, m: int | None = None, n: int | None = None) -> int:
+    """The side n of L(r, m), or of K_{n,n} for r = 0 and an explicit n.
+
+    ValueError when the arguments name no such graph; n is not bounded by
+    MAX_N here, so closed forms can use it at any size.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
     if r == 0:
@@ -71,13 +75,17 @@ def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
             raise ValueError("r=0 needs an explicit n >= 1")
         if m is not None:
             raise ValueError("r=0 takes n, not m")
-        size = n
-    else:
-        if m is None or m < 1:
-            raise ValueError("m must be >= 1 when r >= 1")
-        if n is not None and n != r * m:
-            raise ValueError(f"n={n} contradicts r*m={r * m}")
-        size = r * m
+        return n
+    if m is None or m < 1:
+        raise ValueError("m must be >= 1 when r >= 1")
+    if n is not None and n != r * m:
+        raise ValueError(f"n={n} contradicts r*m={r * m}")
+    return r * m
+
+
+def l_graph(r: int, m: int | None = None, n: int | None = None) -> GraphSpec:
+    """Build L(r, m); with r = 0 build K_{n,n} for an explicit n."""
+    size = l_size(r, m, n)
     if size > MAX_N:
         raise ValueError(f"n={short_repr(size)} exceeds the bitset bound {MAX_N}")
     full = (1 << size) - 1

@@ -12,7 +12,6 @@ from collections import Counter
 
 import pytest
 
-from perfpart import cli
 from perfpart.cli import COMMANDS, main
 from perfpart.construct_group import knn_partition
 from perfpart.counting import count_up_to
@@ -893,9 +892,16 @@ def _outcome(capsys, *argv, via=main):
 
 
 def _main_on_the_full_parser(argv):
-    """main's steps, with the parser that holds every subcommand parsing the
-    whole argv, the command's name included."""
-    args, unknown = cli._parser().parse_known_args(argv)
+    """A reference for main: one parser with every command, its --json and
+    its flags as a subparser parses the whole argv, the name included."""
+    parser = argparse.ArgumentParser(prog="perfpart")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, handler) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+        add_flags(sub)
+        sub.set_defaults(func=handler, parser=sub)
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args.func(args.parser, args)
@@ -941,7 +947,7 @@ def test_anything_but_a_subcommand_lists_all_six(argv, capsys):
 
 def test_a_command_builds_its_own_subparser_only(monkeypatch, capsys):
     """A command's name builds one ArgumentParser, its own, with no top level
-    and no --json parent; -h still builds the full parser."""
+    and no --json parent; -h builds the top level and calls no flag adder."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -953,5 +959,39 @@ def test_a_command_builds_its_own_subparser_only(monkeypatch, capsys):
     assert _outcome(capsys, "check", "--r", "1", "--m", "6")[0] == 0
     assert built == ["perfpart check"]
     built.clear()
+
+    added = []
+    for name, (help_text, _, handler) in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, name, (help_text, added.append, handler))
     assert _outcome(capsys, "-h")[0] == 0
     assert len(built) > 1 and built[0] == "perfpart"
+    assert added == []
+    # the spy is live: a command's own -h calls its adder once
+    assert _outcome(capsys, "count", "-h")[0] == 0
+    assert len(added) == 1
+
+
+TOP_USAGE = "usage: perfpart [-h] {count,enumerate,construct,verify,search,check} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("--json", "check", "--r", "1", "--m", "4"), ("-x", "check", "-h")]
+)
+def test_a_flag_before_the_name_is_a_top_level_usage_error(argv, capsys):
+    """The top-level parser knows no command's flags, so it rejects them with
+    its own usage line, whose subparsers run nothing, -h included."""
+    code, out, err = _outcome(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(TOP_USAGE)
+    assert "unrecognized arguments: " in err
+
+
+def test_a_dash_dash_before_the_name_is_a_usage_error(monkeypatch, capsys):
+    assert _outcome(capsys, "--", "check", "--r", "1", "--m", "4")[:2] == (2, "")
+    # where argparse drops the "--" and the parse returns, main still runs nothing
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, argv: argparse.Namespace()
+    )
+    code, out, err = _outcome(capsys, "--", "check")
+    assert (code, out) == (2, "")
+    assert err == TOP_USAGE + "perfpart: error: a command's name must be the first argument\n"

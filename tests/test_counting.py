@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -76,8 +77,17 @@ def test_count_matchings_validates_arguments():
         count_matchings(2, 3, n=7)
 
 
+@pytest.mark.parametrize(("r", "m", "n"), [(-1, 3, None), (0, 3, 4), (0, None, 0), (0, None, -2)])
+def test_count_matchings_refuses_what_l_graph_refuses(r, m, n):
+    with pytest.raises(ValueError) as refused:
+        l_graph(r, m, n)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        count_matchings(r, m, n)
+
+
 def test_single_hole_count_is_the_derangement_number():
-    for n in range(1, 10):
+    # n = 100 is past the bitset bound of l_graph, which the closed form lacks
+    for n in [*range(1, 10), 100]:
         want = sum((-1) ** k * math.factorial(n) // math.factorial(k) for k in range(n + 1))
         assert count_matchings(1, n) == want
 
