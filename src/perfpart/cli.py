@@ -398,8 +398,10 @@ def _list_commands(argv) -> NoReturn:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in COMMANDS.items():
         subs.add_parser(name, help=help_text, add_help=False)
-    parser.parse_args(argv)
-    # a Python whose argparse drops "--" before the name gets this far
+    # argparse words a leading "--" differently from one Python to the next
+    # (3.11 calls it an invalid choice), so it is not asked about one
+    if argv[:1] != ["--"]:
+        parser.parse_args(argv)
     parser.error("a command's name must be the first argument")
 
 

@@ -8,27 +8,26 @@ lexicographically least uncovered matching, which kills the part-order
 symmetry without losing completeness.
 
 Both levels run on a CoverIndex of the graph's matchings: the inner level
-covers edges with the rows still alive, and the outer level removes a placed
-part by clearing its rows from the alive bitset.  A node's cost grows with
-the width of the index's row bitsets, not with the rows still alive, so once
-half of a wide index's rows are placed the outer level descends into an index
-over the free rows alone, and backtracking returns to the wider one.  A
-restricted index keeps the rows in their order, so the anchor, the column
-choices and the candidate order, and with them the search tree and its node
-count, are those of the full index.  Both levels keep their path on an
-explicit stack rather than the Python call stack, because a graph can need
-thousands of parts and a cover thousands of rows.
+covers edges with the rows still alive, forcing one row (the outer level's
+anchor) or none, and the outer level removes a placed part by clearing its
+rows from the alive bitset.  A node's cost grows with the width of the
+index's row bitsets, not with the rows still alive, so once half of a wide
+index's rows are placed the outer level descends into an index over the free
+rows alone, and backtracking returns to the wider one.  A restricted index
+keeps the rows in their order, so the anchor, the column choices and the
+candidate order, and with them the search tree and its node count, are those
+of the full index.  Both levels keep their path on an explicit stack rather
+than the Python call stack, because a graph can need thousands of parts and a
+cover thousands of rows.
 
 The walk below an inner node depends only on the node's covered and alive
 bitsets and the index, so each index remembers, up to FINISHED_MAX of them,
-the subtrees it walked to the end: the nodes each took and, when it held any,
-each cover with the nodes up to it and the rows it chose below the subtree's
-root.  A node that enters a remembered state replays it: it charges the nodes
-up to each cover to the budget, yields the cover, charges the rest and
-backtracks.  So the search tree, its node count, every result, the budget
-left after each one and the node where a budget runs out stay those of the
-node-by-node walk; on L(1, 7) four fifths of the inner nodes of a
-10**5-node search are replayed, not walked.
+the subtrees it walked to the end (CoverIndex.finished).  A node that enters
+a remembered state replays it: it charges the nodes up to each cover to the
+budget, yields the cover, charges the rest and backtracks.  So the search
+tree, its node count, every result, the budget left after each one and the
+node where a budget runs out stay those of the node-by-node walk; on L(1, 7)
+four fifths of a 10**5-node search's inner nodes are replayed, not walked.
 
 Everything is deterministic: matchings are taken in lexicographic order and
 candidates are tried in ascending index order.
@@ -86,10 +85,10 @@ class CoverIndex:
     Knuth's Dancing Links: undoing a choice is free because each node keeps
     its own alive set.  finished maps covered << len(rows) | alive, the root
     of a subtree that covers walked to the end, to the nodes that subtree took
-    when it held no cover, and else to (nodes, covers), each cover being (the
-    nodes up to and including it, the rows chosen below the root, in the
-    order chosen).  It holds at most FINISHED_MAX entries, each with at most
-    COVERS_MAX covers.
+    when it held no cover, and else to the chunks its replay charges: one
+    (the nodes up to and including the cover, the rows chosen below the root,
+    in the order chosen) per cover, then (nodes, None).  It holds at most
+    FINISHED_MAX entries, each with at most COVERS_MAX covers.
     """
 
     __slots__ = ("rows", "full", "all_rows", "keep", "cols", "finished")
@@ -146,17 +145,17 @@ class CoverIndex:
     def covers(
         self,
         alive: int,
-        forced: Sequence[int] = (),
+        forced: int | None = None,
         budget: list[int] | None = None,
     ) -> Iterator[tuple[int, ...]]:
-        """Yield exact covers using forced rows plus rows from the alive bitset.
+        """Yield exact covers made of the forced row, if any, and alive rows.
 
         Covers come as sorted row-index tuples.  Branching takes the uncovered
         column with the fewest candidates (the lowest such column on ties) and
-        tries its rows in ascending order.  A forced row outside the index
-        or given twice is a ValueError.  budget, when given, is a
-        single-element mutable list of remaining search nodes shared with the
-        caller; it raises SearchBudgetExceeded at zero.
+        tries its rows in ascending order.  A forced row outside the index is
+        a ValueError.  budget, when given, is a single-element mutable list of
+        remaining search nodes shared with the caller; it raises
+        SearchBudgetExceeded at zero.
 
         Entering a state stored in finished, in this call or a later one,
         replays its subtree as walking it again would: the nodes up to each
@@ -171,19 +170,14 @@ class CoverIndex:
         # rows past the index never count as candidates; dropping them keeps
         # the key covered << n_rows | alive one-to-one
         alive &= self.all_rows
-        if len(forced) > 1 and len(set(forced)) < len(forced):
-            twice = next(idx for idx in forced if forced.count(idx) > 1)
-            raise ValueError(f"forced row {twice} is given twice")
-        covered = clash = 0
-        for idx in forced:
-            if not 0 <= idx < n_rows:
-                raise ValueError(f"forced row {idx} is outside 0..{n_rows - 1}")
-            clash |= rows[idx] & covered
-            covered |= rows[idx]
-            alive &= keep[idx]
-        if clash:
-            return
-        chosen = list(forced)
+        covered = 0
+        chosen = []
+        if forced is not None:
+            if not 0 <= forced < n_rows:
+                raise ValueError(f"forced row {forced} is outside 0..{n_rows - 1}")
+            covered = rows[forced]
+            alive &= keep[forced]
+            chosen.append(forced)
 
         # Explicit DFS stack, one [key, covered, alive, untried candidates,
         # nodes before it, covers before it] entry per open node on the
@@ -219,14 +213,14 @@ class CoverIndex:
                     stack.append([key, covered, alive, best, nodes - 1, found])
                     chosen.append(-1)
             else:
-                # a remembered subtree or a cover node: charge the nodes up to
-                # each cover, then the rest, as walking the subtree would
+                # a remembered subtree or a cover node: its chunks charge the
+                # nodes up to each cover, then the rest, as walking it would
                 if entry is None:
                     chunks = LEAF
                 elif entry.__class__ is int:
                     chunks = ((entry, None),)
                 else:
-                    chunks = (*entry[1], (entry[0], None))
+                    chunks = entry
                 at = 0
                 for offset, below in chunks:
                     if budget is not None:
@@ -264,7 +258,8 @@ class CoverIndex:
                 entry = nodes - base
                 if n_found:
                     cut = len(chosen)
-                    entry = entry, tuple((at - base, path[cut:]) for at, path in log[-n_found:])
+                    covers = [(at - base, path[cut:]) for at, path in log[-n_found:]]
+                    entry = (*covers, (entry, None))
                 if len(finished) >= FINISHED_MAX:
                     finished.clear()
                 finished[top[0]] = entry
@@ -275,14 +270,15 @@ class CoverIndex:
 def exact_cover(
     n_cols: int,
     rows: Sequence[int],
-    forced: Sequence[int] = (),
+    forced: int | None = None,
     budget: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield exact covers of columns 0..n_cols-1 as sorted row-index tuples.
 
-    rows are column bitmasks; forced rows are pre-selected.  budget, when
-    given, is a single-element mutable list of remaining search nodes shared
-    with the caller; it raises SearchBudgetExceeded at zero.
+    rows are column bitmasks; forced, when given, is one row index that every
+    cover holds.  budget, when given, is a single-element mutable list of
+    remaining search nodes shared with the caller; it raises
+    SearchBudgetExceeded at zero.
     """
     index = CoverIndex(n_cols, rows)
     yield from index.covers(index.all_rows, forced, budget)
@@ -315,11 +311,11 @@ def find_factorizations(
 ) -> Iterator[tuple[Perm, ...]]:
     """Yield 1-factorizations of spec, optionally forced to contain a matching."""
     matchings, index = matching_index(spec)
-    forced: list[int] = []
+    forced = None
     if containing is not None:
         if not is_matching(spec, containing):
             raise ValueError("forced member is not a matching of the graph")
-        forced = [matchings.index(tuple(containing))]
+        forced = matchings.index(tuple(containing))
     for sol in index.covers(index.all_rows, forced):
         yield tuple(matchings[i] for i in sol)
 
@@ -373,7 +369,7 @@ def perfect_partitions(
                 raise SearchBudgetExceeded
             budget[0] -= 1
         anchor = (free & -free).bit_length() - 1
-        return index.covers(free, (anchor,), budget)
+        return index.covers(free, anchor, budget)
 
     # Explicit DFS stack: levels[k] holds the candidates for part k, the index
     # they come from, that index's rows as matchings, and the rows free before

@@ -112,7 +112,7 @@ def reference_partitions(
                 raise SearchBudgetExceeded
             budget[0] -= 1
         anchor = (free & -free).bit_length() - 1
-        return index.covers(free, (anchor,), budget)
+        return index.covers(free, anchor, budget)
 
     # levels[k] yields the candidates for part k; placed[k] is the part taken
     # from it, with its row bitset

@@ -18,6 +18,6 @@ def reference_extendability(spec: GraphSpec) -> ExtendabilityReport:
     index = CoverIndex(len(spec.edges()), edge_masks(spec, matchings))
     blocked = []
     for k, p in enumerate(matchings):
-        if next(index.covers(index.all_rows, (k,)), None) is None:
+        if next(index.covers(index.all_rows, k), None) is None:
             blocked.append(p)
     return ExtendabilityReport(total=len(matchings), blocked=blocked)

@@ -986,12 +986,8 @@ def test_a_flag_before_the_name_is_a_top_level_usage_error(argv, capsys):
     assert "unrecognized arguments: " in err
 
 
-def test_a_dash_dash_before_the_name_is_a_usage_error(monkeypatch, capsys):
-    assert _outcome(capsys, "--", "check", "--r", "1", "--m", "4")[:2] == (2, "")
-    # where argparse drops the "--" and the parse returns, main still runs nothing
-    monkeypatch.setattr(
-        argparse.ArgumentParser, "parse_args", lambda self, argv: argparse.Namespace()
-    )
-    code, out, err = _outcome(capsys, "--", "check")
-    assert (code, out) == (2, "")
-    assert err == TOP_USAGE + "perfpart: error: a command's name must be the first argument\n"
+def test_a_dash_dash_before_the_name_is_a_usage_error(capsys):
+    # the same line on every Python, whose argparse words "--" differently
+    err = TOP_USAGE + "perfpart: error: a command's name must be the first argument\n"
+    for argv in (("--", "check", "--r", "1", "--m", "4"), ("--",), ("--", "-h"), ("--", "--")):
+        assert _outcome(capsys, *argv) == (2, "", err)

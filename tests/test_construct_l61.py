@@ -259,7 +259,7 @@ def test_every_t3_anchor_has_exactly_one_completing_cover(l61_classes):
                 parts = []
                 for mu in anchors:
                     rows = [mu, *quads]
-                    covers = list(exact_cover(30, edge_masks(spec, rows), forced=(0,)))
+                    covers = list(exact_cover(30, edge_masks(spec, rows), forced=0))
                     assert len(covers) == 1
                     parts.append(tuple(rows[i] for i in covers[0]))
                 assert sorted(e for part in parts for e in part[1:]) == quads
