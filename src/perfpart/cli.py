@@ -6,11 +6,23 @@ list of commands, as help or a usage error.  Exit codes: 0 on success/verified/
 found, 1 on verification failure, a proven NONE where a target asserts
 existence or a failed write of stdout, 2 on usage errors.  `--json` switches
 machine-readable output on.
+
+`main` pauses CPython's cyclic garbage collector while a command runs, and
+resumes it afterwards only if it was running before.  The collector runs
+whenever 700 more containers have been allocated than freed, and a command
+builds many tuples, lists and dicts that never form a cycle: with it running,
+an in-process `verify knn8.json` paid for 121 young and 10 middle-generation
+collections, 10-15 ms in all.  The pause is safe because every command leaves
+the same small amount of cyclic garbage whatever its input: argparse's parser
+and help formatters, 29 to 79 unreachable objects on Python 3.11.  The pause
+is kept here: a library generator that paused the collector would leak the
+pause to its caller across each yield.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -406,7 +418,17 @@ def _list_commands(argv) -> NoReturn:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    # the module docstring says why the collector is paused
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str]) -> int:
     # argparse never abbreviates a subcommand, so only an exact name runs one
     if not argv or argv[0] not in COMMANDS:
         _list_commands(argv)

@@ -12,8 +12,9 @@ g, h and offsets d cover every pair exactly once, giving ((n-1)!)^2 * n parts
 of size n.
 
 Unlike build_l61 and build_l82, these builders skip verified_certificate:
-checking knn:8 takes about 50 ms of CPU against 35 ms to build it, which
-would more than double `construct`'s cost.  The tests verify every build up
+checking knn:8 took 44-68 ms of CPU against 27-41 ms to build it (medians of
+9-15 calls in each of five runs, 2-CPU VM, Python 3.11), which would more
+than double the build's time.  The tests verify every build up
 to knn:8 and l2nn:5 instead, and pin the bytes of those two.
 """
 

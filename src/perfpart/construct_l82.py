@@ -94,6 +94,12 @@ def _group(label: str) -> set[Perm]:
     return {p for p, lab in _labels().items() if lab == label}
 
 
+def _require(ok: bool, failure: str) -> None:
+    """A class-ledger check that python -O keeps: RuntimeError unless ok."""
+    if not ok:
+        raise RuntimeError(failure)
+
+
 def _by_row(pair: tuple[EBlock, EBlock], a: int) -> EBlock:
     return pair[0] if pair[0][0] == a else pair[1]
 
@@ -201,7 +207,8 @@ def type1_part(
         c[pos] = _co_invertible(b[pos])
 
     part = tuple(_grid_perm(g) for g in (p_grid, q_grid, s, t, u, v))
-    assert [_labels().get(m) for m in part] == ["S0_1"] * 2 + ["S1"] * 4
+    if [_labels().get(m) for m in part] != ["S0_1"] * 2 + ["S1"] * 4:
+        raise RuntimeError(f"part for {pattern} {free} is not two S0_1 and four S1 members")
     return part
 
 
@@ -217,14 +224,14 @@ def build_type1() -> list[tuple[Perm, ...]]:
         for e1 in (E11, E12):
             for e2, e3, e4 in product(E_BLOCKS, repeat=3):
                 parts.append(type1_part(pattern, (e1, e2, e3, e4)))
-    assert len(parts) == 384
-    assert len({tuple(sorted(p)) for p in parts}) == 384
+    _require(len(parts) == 384, "type I: not 384 parts")
+    _require(len({tuple(sorted(p)) for p in parts}) == 384, "type I: a part repeats")
 
     s01_used = [m for p in parts for m in p[:2]]
     s1_used = [m for p in parts for m in p[2:]]
-    assert len(set(s01_used)) == 768 and len(set(s1_used)) == 1536
-    assert set(s01_used) == _group("S0_1")
-    assert set(s1_used) == _group("S1")
+    _require(len(set(s01_used)) == 768 and len(set(s1_used)) == 1536, "type I: a member repeats")
+    _require(set(s01_used) == _group("S0_1"), "type I: S0_1 is not covered")
+    _require(set(s1_used) == _group("S1"), "type I: S1 is not covered")
     return parts
 
 
@@ -243,11 +250,11 @@ def _residual_pairs(members: tuple[Perm, ...]) -> list[tuple[Perm, Perm]]:
             if not rows[row] >> (img - 1) & 1:
                 raise RuntimeError("family members overlap")
             rows[row] ^= 1 << (img - 1)
-    assert all(r.bit_count() == 2 for r in rows)
+    _require(all(r.bit_count() == 2 for r in rows), "residual row without two cells")
     pairs = []
     for b1 in enumerate_matchings(GraphSpec(rows=tuple(rows))):
         b2 = tuple((r ^ 1 << (x - 1)).bit_length() for r, x in zip(rows, b1))
-        assert is_permutation(b2, N)
+        _require(is_permutation(b2, N), "residual cells left by a matching are no matching")
         if b1 < b2:
             pairs.append((b1, b2))
     return pairs
@@ -385,15 +392,15 @@ def build_type2() -> list[tuple[Perm, ...]]:
         for ch1j in (E11, E12)
         for rest in product(E_BLOCKS, repeat=3)
     )
-    assert len(parts) == 384
+    _require(len(parts) == 384, "type II: not 384 parts")
 
     labels = _labels()
     s0_used = [m for p in parts for m in p if labels.get(m) in ("S0_1", "S0_rest")]
     s2_used = [m for p in parts for m in p if labels.get(m) == "S2"]
-    assert len(s0_used) == len(set(s0_used)) == 1536
-    assert len(s2_used) == len(set(s2_used)) == 768
-    assert set(s0_used) == _group("S0_rest")
-    assert set(s2_used) == _group("S2")
+    _require(len(s0_used) == len(set(s0_used)) == 1536, "type II: not 1536 distinct S0 members")
+    _require(len(s2_used) == len(set(s2_used)) == 768, "type II: not 768 distinct S2 members")
+    _require(set(s0_used) == _group("S0_rest"), "type II: S0_rest is not covered")
+    _require(set(s2_used) == _group("S2"), "type II: S2 is not covered")
     return parts
 
 
@@ -419,10 +426,10 @@ def build_type3() -> list[tuple[Perm, ...]]:
         for block_fact in l41_table()
         for flips in FLIP_SETS
     ]
-    assert len(parts) == 24
+    _require(len(parts) == 24, "type III: not 24 parts")
     flat = [m for p in parts for m in p]
-    assert len(flat) == len(set(flat)) == 144
-    assert set(flat) == _group("S4")
+    _require(len(flat) == len(set(flat)) == 144, "type III: not 144 distinct members")
+    _require(set(flat) == _group("S4"), "type III: S4 is not covered")
     return parts
 
 

@@ -15,9 +15,7 @@ import reprlib
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .perm_core import Perm, is_permutation
-
-MAX_N = 64
+from .perm_core import MAX_N, Perm, is_permutation
 
 
 def short_repr(value: object) -> str:

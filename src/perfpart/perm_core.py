@@ -9,6 +9,13 @@ Perm = tuple[int, ...]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+# Largest side n of a graph: adjacency rows are bitmasks of n bits.  Every
+# matching is a permutation of degree at most this.
+MAX_N = 64
+
+# str(0) .. str(MAX_N), so to_cycles converts no int of a matching's cycles
+_DIGITS = tuple(map(str, range(MAX_N + 1)))
+
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
@@ -77,7 +84,8 @@ def to_cycles(p: Perm) -> str:
     cycs = cycles_of(p)
     if not cycs:
         return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
+    digits = _DIGITS if len(p) <= MAX_N else tuple(map(str, range(len(p) + 1)))
+    return "".join(["(" + " ".join([digits[x] for x in c]) + ")" for c in cycs])
 
 
 def parse_cycles(text: str, n: int) -> Perm:

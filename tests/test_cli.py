@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line interface."""
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -9,9 +10,11 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import perfpart
 from perfpart.cli import COMMANDS, main
 from perfpart.construct_group import knn_partition
 from perfpart.counting import count_up_to
@@ -366,6 +369,25 @@ def test_certificate_bytes_are_pinned(run, tmp_path, target):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERT_SHA256[target]
     code, out = run("verify", str(path))
     assert code == 0 and out.startswith("PASS: ")
+
+
+# sha256 of the stdout of each classified listing; the benchmark checks only
+# the census of the first
+LISTING_SHA256 = {
+    ("--r", "2", "--m", "4", "--classify", "--json"): (
+        "bc5ba452cd10aa6687cfe81e28d51f2e341460a3e67ff520be7aa870bc0e0dfc"
+    ),
+    ("--r", "1", "--m", "6", "--classify"): (
+        "5bfdb5c041f21d824f5b2d72598eaf5f07c0474993b011fec2ea8205712895f7"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", LISTING_SHA256)
+def test_classified_listing_bytes_are_pinned(run, flags):
+    code, out = run("enumerate", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[flags]
 
 
 def test_verify_detects_tampering(run, tmp_path, monkeypatch):
@@ -991,3 +1013,105 @@ def test_a_dash_dash_before_the_name_is_a_usage_error(capsys):
     err = TOP_USAGE + "perfpart: error: a command's name must be the first argument\n"
     for argv in (("--", "check", "--r", "1", "--m", "4"), ("--",), ("--", "-h"), ("--", "--")):
         assert _outcome(capsys, *argv) == (2, "", err)
+
+
+# Most unreachable objects one main call may leave; the commands below leave
+# 29-79 on Python 3.11, all of them argparse's
+GARBAGE_MAX = 200
+
+# one command at a smaller and at a larger input, for each kind of command the
+# benchmark's workloads run, plus an UNDECIDED search, a usage error raised
+# after the build and an unreadable certificate
+GARBAGE_PAIRS = {
+    "construct knn": (("construct", "--target", "knn:5"), ("construct", "--target", "knn:7")),
+    "construct l2nn": (("construct", "--target", "l2nn:3"), ("construct", "--target", "l2nn:5")),
+    "construct paper": (
+        ("construct", "--target", "l61", "--golden"),
+        ("construct", "--target", "l82", "--audit"),
+    ),
+    "verify": (("verify", "knn5.json"), ("verify", "knn7.json")),
+    "enumerate": (("enumerate", "--r", "1", "--m", "5"), ("enumerate", "--r", "1", "--m", "7")),
+    "enumerate classify": (
+        ("enumerate", "--r", "1", "--m", "6", "--classify"),
+        ("enumerate", "--r", "2", "--m", "4", "--classify", "--json"),
+    ),
+    "search target": (("search", "--target", "l41", "--all"), ("search", "--target", "l62")),
+    "search matrix": (
+        ("search", "--matrix", "circulant.txt"),
+        ("search", "--matrix", "k55.txt", "--out", "k55.json"),
+    ),
+    "search undecided": (
+        ("search", "--matrix", "l17.txt", "--budget", "2000"),
+        ("search", "--matrix", "l17.txt", "--budget", "20000"),
+    ),
+    "check": (("check", "--r", "1", "--m", "5"), ("check", "--r", "0", "--n", "7")),
+    "usage error": (
+        ("construct", "--target", "knn:5", "--out", "no/such/dir.json"),
+        ("construct", "--target", "knn:7", "--out", "no/such/dir.json"),
+    ),
+    "unreadable": (("verify", "cut5.json"), ("verify", "cut7.json")),
+}
+
+
+@pytest.fixture(scope="module")
+def garbage_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("garbage")
+    for n in (5, 7):
+        save_certificate(knn_partition(n), str(path / f"knn{n}.json"))
+        text = (path / f"knn{n}.json").read_text()
+        (path / f"cut{n}.json").write_text(text[: len(text) // 2])
+    (path / "circulant.txt").write_text(CIRCULANT_ROWS)
+    (path / "k55.txt").write_text("11111\n" * 5)
+    (path / "l17.txt").write_text("\n".join(row_strings(l_graph(1, 7))) + "\n")
+    return path
+
+
+def _cyclic_garbage(capsys, argv) -> int:
+    """What gc.collect() finds unreachable after one main(argv), with the
+    collector held off by the caller so that no collection runs meanwhile."""
+    gc.collect()
+    gc.disable()
+    try:
+        _outcome(capsys, *argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", GARBAGE_PAIRS)
+def test_a_command_leaves_the_same_cyclic_garbage_at_any_size(
+    kind, garbage_inputs, monkeypatch, capsys
+):
+    """main pauses the collector, which is safe only while no command leaves
+    more cyclic garbage on a larger input."""
+    monkeypatch.chdir(garbage_inputs)
+    small, large = (_cyclic_garbage(capsys, argv) for argv in GARBAGE_PAIRS[kind])
+    assert small == large <= GARBAGE_MAX
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("check", "--r", "1", "--m", "4"), 0),
+        (("search", "--target", "l62", "--budget", "3"), 1),
+        (("check", "--r", "1"), 2),
+        (("bogus",), 2),
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(argv, exit_code, collecting, capsys):
+    if not collecting:
+        gc.disable()
+    try:
+        assert _outcome(capsys, *argv)[0] == exit_code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+def test_only_the_cli_touches_the_collector():
+    """A library generator that paused the collector would leak the pause
+    across its yields, so no module but cli imports gc."""
+    package = Path(perfpart.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py")) if "import gc" in path.read_text()]
+    assert users == ["cli.py"]

@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from perfpart import construct_l82
 from perfpart.construct_l82 import (
     CYCLE_REPS,
     E11,
@@ -71,6 +72,22 @@ def test_type2_member_outside_s0_rest_raises():
     for m in [*by_label.values(), tuple(range(1, 9))]:
         with pytest.raises(RuntimeError, match="not in S0 minus S0_1"):
             _type2_member(perm_grid(m), "test")
+
+
+@pytest.mark.parametrize(
+    "build, label, failure",
+    [
+        (construct_l82.build_type1, "S1", "is not two S0_1 and four S1 members"),
+        (construct_l82.build_type3, "S4", "S4 is not covered"),
+    ],
+)
+def test_a_mislabelled_member_fails_the_ledger_check(build, label, failure, monkeypatch):
+    """The ledger checks raise, so python -O keeps them."""
+    labels = dict(_labels())
+    labels[next(m for m, lab in labels.items() if lab == label)] = "S2"
+    monkeypatch.setattr(construct_l82, "_labels", lambda: labels)
+    with pytest.raises(RuntimeError, match=failure):
+        build()
 
 
 def test_e_block_helpers():

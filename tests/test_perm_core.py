@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perfpart.perm_core import (
+    MAX_N,
     Perm,
     apply,
     compose,
@@ -90,6 +91,13 @@ def test_cycle_type_partitions_n(p: Perm):
     ct = cycle_type(p)
     assert sum(ct) == len(p)
     assert list(ct) == sorted(ct)
+
+
+def test_cycle_string_past_the_cached_digits():
+    # one cycle through every point of a degree above MAX_N
+    p = tuple(range(2, MAX_N + 3)) + (1,)
+    assert to_cycles(p) == "(" + " ".join(map(str, range(1, MAX_N + 3))) + ")"
+    assert parse_cycles(to_cycles(p), len(p)) == p
 
 
 def test_identity_notation():
