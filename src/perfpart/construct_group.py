@@ -11,11 +11,15 @@ top).  The parts {(g c^t, h c^{t+d}) : t = 0..n-1} over coset representatives
 g, h and offsets d cover every pair exactly once, giving ((n-1)!)^2 * n parts
 of size n.
 
+knn_partition writes each coset as the sorted rotations of its
+representative and emits the parts in canonical order as it goes, so it
+sorts no part list; l2nn_partition hands its parts to make_certificate.
+
 Unlike build_l61 and build_l82, these builders skip verified_certificate:
-checking knn:8 took 44-68 ms of CPU against 27-41 ms to build it (medians of
-9-15 calls in each of five runs, 2-CPU VM, Python 3.11), which would more
-than double the build's time.  The tests verify every build up
-to knn:8 and l2nn:5 instead, and pin the bytes of those two.
+checking knn:8 took 39-42 ms of CPU against 14 ms to build it (medians of
+11 calls in each of five runs, 2-CPU VM, Python 3.11), which would nearly
+quadruple the build's time.  The tests verify every build up to knn:8 and
+l2nn:5 instead, and pin the bytes of those two.
 """
 
 from __future__ import annotations
@@ -43,11 +47,20 @@ def _rotations(g: Perm) -> list[Perm]:
 
 
 def knn_partition(n: int) -> PartitionCertificate:
-    """Perfect partition of K_{n,n} into the (n-1)! left cosets of <(1 2 ... n)>."""
+    """Perfect partition of K_{n,n} into the (n-1)! left cosets of <(1 2 ... n)>.
+
+    g + g holds every rotation of g as a slice, and sorted, each coset starts
+    with g, its representative.  The representatives come out in
+    lexicographic order, so the parts are already in make_certificate's
+    canonical order.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    parts = [_rotations(g) for g in _coset_reps(n)]
-    return make_certificate(l_graph(0, n=n), parts, complete=True)
+    parts = []
+    for g in _coset_reps(n):
+        gg = g + g
+        parts.append(tuple(sorted([gg[t : t + n] for t in range(n)])))
+    return PartitionCertificate(graph=l_graph(0, n=n), complete=True, parts=tuple(parts))
 
 
 def l2nn_partition(n: int) -> PartitionCertificate:

@@ -47,6 +47,12 @@ def _classes() -> dict[str, tuple[Perm, ...]]:
     return {k: tuple(v) for k, v in classify_l61(enumerate_matchings(GRAPH)).items()}
 
 
+def _require(ok: bool, failure: str) -> None:
+    """A construction check that python -O keeps: RuntimeError unless ok."""
+    if not ok:
+        raise RuntimeError(failure)
+
+
 def _c33_cycles(p: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     cyc = cycles_of(p)
     if [len(c) for c in cyc] != [3, 3]:
@@ -89,7 +95,7 @@ def pattern_apply(beta: Perm) -> tuple[Perm, Perm, Perm]:
     """
     x, y, steps = _steps(beta)
     out = tuple(from_cycle_tuples([(1, t, x, nxt), (y, prv)], N) for t, nxt, prv in steps)
-    assert len({cycles_of(e)[1] for e in out}) == 3, "2-cycles must be distinct"
+    _require(len({cycles_of(e)[1] for e in out}) == 3, "2-cycles must be distinct")
     return out
 
 
@@ -127,34 +133,39 @@ def _zone_rows(beta: Perm) -> set[Perm]:
 def propagate_zone(beta: Perm) -> Zone:
     """Grow the full zone of pattern beta's class from its row, seeded by _rep(beta).
 
-    Asserts the defining consistency conditions: re-seeding from any derived
-    row reproduces the identical zone, and C24 members sharing a 2-cycle have
-    4-cycle tails that are rotations of one another yet pairwise distinct as
-    based words.
+    Checks the defining consistency conditions, and raises RuntimeError when
+    one fails: re-seeding from any derived row reproduces the identical zone,
+    and C24 members sharing a 2-cycle have 4-cycle tails that are rotations
+    of one another yet pairwise distinct as based words.
     """
     y = class_of(_rep(beta))
     rows = _zone_rows(beta)
 
     for row in rows:
-        assert _zone_rows(row) == rows, (
-            f"zone not well defined: re-seeding from {to_cycles(_rep(row))} diverged"
-        )
+        if _zone_rows(row) != rows:
+            raise RuntimeError(
+                f"zone not well defined: re-seeding from {to_cycles(_rep(row))} diverged"
+            )
 
     members = {p for rep in map(_rep, rows) for p in (rep, inverse(rep))}
-    assert members == {p for p in _classes()["C33"] if class_of(p) == y}
+    _require(
+        members == {p for p in _classes()["C33"] if class_of(p) == y},
+        f"zone {y}: its rows' pairs are not the class's C33 elements",
+    )
 
     tails_by_two: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for row in rows:
         for e in pattern_apply(row):
-            assert label_l61(e) == "C24"
+            _require(label_l61(e) == "C24", f"zone {y}: a pinned member is not in C24")
             four, two = cycles_of(e)  # the 4-cycle holds 1, so it sorts first
-            assert y in two and four[0] == 1
+            _require(y in two and four[0] == 1, f"zone {y}: a pinned member's 2-cycle misses {y}")
             tails_by_two.setdefault(two, []).append(four[1:])
-    assert len(tails_by_two) == 4
+    _require(len(tails_by_two) == 4, f"zone {y}: the members do not share four 2-cycles")
     for tails in tails_by_two.values():
         rotations = {tails[0][i:] + tails[0][:i] for i in range(3)}
-        assert set(tails) == rotations and len(set(tails)) == 3, (
-            "members sharing a 2-cycle must have rotated, non-equal 4-cycles"
+        _require(
+            set(tails) == rotations and len(set(tails)) == 3,
+            "members sharing a 2-cycle must have rotated, non-equal 4-cycles",
         )
 
     return Zone(y=y, rows=tuple(sorted(rows)))
@@ -171,10 +182,10 @@ def linked_zones(beta: Perm) -> dict[int, Zone]:
     seeded = propagate_zone(beta)
     linked = [propagate_zone(gamma) for gamma in map(inverse, seeded.rows)]
     zones = {zone.y: zone for zone in (seeded, *linked)}
-    assert sorted(zones) == list(range(2, N + 1))
+    _require(sorted(zones) == list(range(2, N + 1)), "the linked zones are not the classes 2..6")
 
     flat = [e for zone in zones.values() for sub in zone.subsets for e in sub]
-    assert len(flat) == len(set(flat)) == 100, "zones must be pairwise disjoint"
+    _require(len(flat) == len(set(flat)) == 100, "zones must be pairwise disjoint")
     return dict(sorted(zones.items()))
 
 
@@ -184,7 +195,7 @@ def t1_subset(sigma: Perm) -> tuple[Perm, ...]:
     Writing sigma = (1 x2)(x3 x4 x5 x6), the six-cycles are
     (1 x3 x2 x5 x4 x6), (1 x4 x2 x6 x5 x3), (1 x5 x2 x3 x6 x4),
     (1 x6 x2 x4 x3 x5).  The result must not depend on which rotation of the
-    4-cycle is written down, and that independence is asserted here.
+    4-cycle is written down; RuntimeError when it does.
     """
     if label_l61(sigma) != "C24_0":
         raise ValueError(f"{to_cycles(sigma)} does not carry 1 in its 2-cycle")
@@ -199,9 +210,12 @@ def t1_subset(sigma: Perm) -> tuple[Perm, ...]:
             (1, x6, x2, x4, x3, x5),
         ]
         variants.add(frozenset([sigma, *(from_cycle_tuples([c], N) for c in sixes)]))
-    assert len(variants) == 1, "rotating the written 4-cycle changed the subset"
+    _require(len(variants) == 1, "rotating the written 4-cycle changed the subset")
     part = tuple(sorted(variants.pop()))
-    assert len(part) == 5 and sum(label_l61(e) == "C6" for e in part) == 4
+    _require(
+        len(part) == 5 and sum(label_l61(e) == "C6" for e in part) == 4,
+        "a type-1 part is not its C24_0 element and four six-cycles",
+    )
     return part
 
 
@@ -209,7 +223,7 @@ def build_t1() -> list[tuple[Perm, ...]]:
     """30 parts consuming every C6 and every C24_0 element exactly once."""
     parts = [t1_subset(s) for s in sorted(_classes()["C24_0"])]
     flat = [e for part in parts for e in part]
-    assert len(parts) == 30 and len(set(flat)) == 150
+    _require(len(parts) == 30 and len(set(flat)) == 150, "type 1: not 30 disjoint parts")
     return parts
 
 
@@ -230,7 +244,10 @@ def build_t3(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
         anchor = from_cycle_tuples([(1, y0), (x, e[y0 - 1]), (t, e[x - 1])], N)
         groups.setdefault(anchor, []).append(e)
     anchors = sorted(p for p in _classes()["C222"] if (1, y0) in cycles_of(p))
-    assert sorted(groups) == anchors and {len(g) for g in groups.values()} == {4}
+    _require(
+        sorted(groups) == anchors and {len(g) for g in groups.values()} == {4},
+        f"axis {y0}: the C24 members do not fall into four per (1 {y0}) anchor",
+    )
 
     return [(mu, *groups[mu]) for mu in anchors]
 
@@ -248,11 +265,14 @@ def build_t4(y0: int, zone: Zone) -> list[tuple[Perm, ...]]:
         x, _, steps = _steps(beta)
         trips = [from_cycle_tuples([(1, t), (x, nxt), (y0, prv)], N) for t, nxt, prv in steps]
         for e in trips:
-            assert label_l61(e) == "C222" and (1, y0) not in cycles_of(e)
+            _require(
+                label_l61(e) == "C222" and (1, y0) not in cycles_of(e),
+                f"axis {y0}: a member is no C222 element avoiding (1 {y0})",
+            )
         rep = _rep(beta)
         parts.append((rep, inverse(rep), *trips))
     flat = [e for part in parts for e in part]
-    assert len(flat) == len(set(flat)) == 20
+    _require(len(flat) == len(set(flat)) == 20, f"axis {y0}: not 20 distinct members")
     return parts
 
 

@@ -67,16 +67,27 @@ def e_col_flip(e: EBlock) -> EBlock:
 Grid = dict[tuple[int, int], EBlock | InvBlock]
 
 
+_COLUMNS = frozenset(range(1, N + 1))
+
+
 def _grid_perm(cells: Grid) -> Perm:
-    """Collapse sparse 4x4 block cells into the permutation they encode."""
+    """Collapse sparse 4x4 block cells into the permutation they encode.
+
+    Cell (a, b) of block (bi, bj) puts image 2 * bj - 2 + b in row
+    2 * bi - 2 + a; an invertible block puts both of its cells.
+    """
     images = [0] * N
-    for (bi, bj), blk in cells.items():
-        for a, b in (blk,) if isinstance(blk[0], int) else blk:
-            row = 2 * (bi - 1) + a
-            if images[row - 1]:
-                raise RuntimeError(f"two images in row {row}")
-            images[row - 1] = 2 * (bj - 1) + b
-    if not is_permutation(images, N):
+    for (bi, bj), (a, b) in cells.items():
+        top, left = 2 * bi - 3, 2 * bj - 2  # row 2 * bi - 2 + a is images[top + a]
+        if a.__class__ is not int:  # an invertible block: put cell a, then cell b
+            (r, c), (a, b) = a, b
+            if images[top + r]:
+                raise RuntimeError(f"two images in row {top + r + 1}")
+            images[top + r] = left + c
+        if images[top + a]:
+            raise RuntimeError(f"two images in row {top + a + 1}")
+        images[top + a] = left + b
+    if set(images) != _COLUMNS:
         raise RuntimeError(f"block cells do not form a permutation: {cells}")
     return tuple(images)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .graph_model import GraphSpec, invertible_blocks
+from .graph_model import GraphSpec
 from .perm_core import Perm, cycle_type
 
 
@@ -57,11 +57,13 @@ def perfect_matching(rows: Sequence[int]) -> Perm | None:
 def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
     """Yield all perfect matchings as image tuples, lexicographically sorted.
 
-    Rows are placed sparsest first: a sparse row placed late can strand every
-    placement of the rows above it.  When that order is the file's order, as
-    in every regular matrix, matchings stream out in lexicographic order;
-    otherwise they are all listed, mapped back to the file's row order and
-    sorted before the first is yielded.
+    One loop walks the rows with a stack of untried-column bitsets, lowest
+    column first, and yields each matching from this frame.  Rows are placed
+    sparsest first: a sparse row placed late can strand every placement of
+    the rows above it.  When that order is the file's order, as in every
+    regular matrix, matchings stream out in lexicographic order; otherwise
+    the rows are walked in that order and the matchings, mapped back to the
+    file's row order, are sorted before the first is yielded.
     """
     n = spec.n
     # The reach prune below misses a dead row or a Hall violation, which
@@ -69,7 +71,17 @@ def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
     if perfect_matching(spec.rows) is None:
         return
     order = sorted(range(n), key=lambda i: spec.rows[i].bit_count())
-    rows = [spec.rows[i] for i in order]
+    if order != list(range(n)):
+        # at[r] is where file row r is placed; sorted() is stable, so the
+        # reordered rows are already in placement order
+        at = sorted(range(n), key=order.__getitem__)
+        placed = enumerate_matchings(GraphSpec(rows=tuple(spec.rows[i] for i in order)))
+        yield from sorted(tuple(m[i] for i in at) for m in placed)
+        return
+    if not n:  # the graph with no rows has one matching, the empty one
+        yield ()
+        return
+    rows = spec.rows
     full = (1 << n) - 1
     # reach[i]: the columns rows i.. have an edge to.  A branch whose unused
     # columns are not all in reach[i] can complete no matching.
@@ -77,27 +89,27 @@ def enumerate_matchings(spec: GraphSpec) -> Iterator[Perm]:
     for i in range(n - 1, -1, -1):
         reach[i] = reach[i + 1] | rows[i]
     images = [0] * n
-
-    def extend(i: int, used: int) -> Iterator[Perm]:
-        if i == n:
+    used = [0] * n  # used[i]: the columns rows 0..i-1 take
+    untried = [0] * n  # untried[i]: row i's free columns not yet tried
+    untried[0] = rows[0]  # a matching exists, so reach[0] is every column
+    last = n - 1
+    i = 0
+    while i >= 0:
+        cands = untried[i]
+        if not cands:
+            i -= 1
+            continue
+        low = cands & -cands
+        untried[i] = cands ^ low
+        images[i] = low.bit_length()
+        if i == last:
             yield tuple(images)
-            return
-        if used | reach[i] != full:
-            return
-        free = rows[i] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            j = low.bit_length()
-            images[i] = j
-            yield from extend(i + 1, used | low)
-
-    if order == list(range(n)):
-        yield from extend(0, 0)
-        return
-    # extend yields images in placement order; at[r] is where file row r is placed
-    at = sorted(range(n), key=order.__getitem__)
-    yield from sorted(tuple(m[i] for i in at) for m in extend(0, 0))
+            continue
+        taken = used[i] | low
+        if taken | reach[i + 1] == full:
+            i += 1
+            used[i] = taken
+            untried[i] = rows[i] & ~taken
 
 
 def count_by_enumeration(spec: GraphSpec) -> int:
@@ -155,15 +167,31 @@ L82_LABELS = ("S0", "S1", "S2", "S4")
 L82_LEDGER = ("S0_1", "S0_rest", "S1", "S2", "S4")
 
 
+# _INVERTIBLE[8 * a + b - 9]: 1 when a block row's images a and b (1..8)
+# fill one 2x2 block, as I2 or R2, else 0
+_INVERTIBLE = tuple(
+    int((a - 1) >> 1 == (b - 1) >> 1 and a != b) for a in range(1, 9) for b in range(1, 9)
+)
+# _BLOCK[x]: the 0-based block column of image x; _BLOCK[0] is unused
+_BLOCK = (0, 0, 0, 1, 1, 2, 2, 3, 3)
+_S_LABELS = ("S0", "S1", "S2", None, "S4")
+
+
 def label_l82(p: Perm) -> str:
     """S0, S1, S2 or S4 by the invertible 2x2 blocks of p, a matching of
-    L(2, 4).  p is not checked (certify labels thousands per pass); on another
-    permutation of 8 the label means nothing: the identity is named S4.
+    L(2, 4): the count of block rows whose two images fill one block, read
+    from the _INVERTIBLE pair table.  p is not checked beyond its length
+    (certify labels thousands per pass); on another permutation of 8 the
+    label means nothing: the identity is named S4.
     """
-    k = len(invertible_blocks(p))
-    if k not in (0, 1, 2, 4):
+    if len(p) != 8:
+        raise ValueError("block view is defined for n = 8")
+    a, b, c, d, e, f, g, h = p
+    t = _INVERTIBLE
+    k = t[8 * a + b - 9] + t[8 * c + d - 9] + t[8 * e + f - 9] + t[8 * g + h - 9]
+    if k == 3:
         raise ValueError(f"impossible invertible-block count {k}")
-    return f"S{k}"
+    return _S_LABELS[k]
 
 
 def ledger_l82(p: Perm) -> str:
@@ -180,8 +208,10 @@ def ledger_l82(p: Perm) -> str:
     lab = label_l82(p)
     if lab != "S0":
         return lab
-    z = [6 - bi - ((p[2 * bi] - 1) >> 1) - ((p[2 * bi + 1] - 1) >> 1) for bi in range(4)]
-    return "S0_1" if all(z[z[bi]] == bi for bi in range(4)) else "S0_rest"
+    a, b, c, d, e, f, g, h = p
+    blk = _BLOCK
+    z = (6 - blk[a] - blk[b], 5 - blk[c] - blk[d], 4 - blk[e] - blk[f], 3 - blk[g] - blk[h])
+    return "S0_1" if z[z[0]] == 0 and z[z[1]] == 1 and z[z[2]] == 2 and z[z[3]] == 3 else "S0_rest"
 
 
 def classify_l82(perms: Iterable[Perm]) -> dict[str, list[Perm]]:

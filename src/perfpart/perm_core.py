@@ -80,12 +80,25 @@ def from_cycle_tuples(cycles: Iterable[Iterable[int]], n: int) -> Perm:
 
 
 def to_cycles(p: Perm) -> str:
-    """Canonical cycle string: min-first cycles sorted by minimum, "()" for identity."""
-    cycs = cycles_of(p)
-    if not cycs:
-        return "()"
-    digits = _DIGITS if len(p) <= MAX_N else tuple(map(str, range(len(p) + 1)))
-    return "".join(["(" + " ".join([digits[x] for x in c]) + ")" for c in cycs])
+    """Canonical cycle string: min-first cycles sorted by minimum, "()" for identity.
+
+    One walk writes each cycle from _DIGITS as it visits it: a cycle starts
+    at the first point not yet seen that p moves, which is its minimum.
+    """
+    n = len(p)
+    digits = _DIGITS if n <= MAX_N else tuple(map(str, range(n + 1)))
+    seen = [False] * (n + 1)
+    out = ""
+    for start, nxt in enumerate(p, 1):
+        if seen[start] or nxt == start:
+            continue
+        out += "(" + digits[start]
+        while nxt != start:
+            seen[nxt] = True
+            out += " " + digits[nxt]
+            nxt = p[nxt - 1]
+        out += ")"
+    return out or "()"
 
 
 def parse_cycles(text: str, n: int) -> Perm:

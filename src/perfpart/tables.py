@@ -26,11 +26,17 @@ def _parse_parts(name: str, n: int) -> tuple[tuple[Perm, ...], ...]:
     )
 
 
+def _check(ok: bool, name: str, failure: str) -> None:
+    """A data-file check that python -O keeps: ValueError naming the file unless ok."""
+    if not ok:
+        raise ValueError(f"perfpart/data/{name}: {failure}")
+
+
 @lru_cache(maxsize=None)
 def t1_table() -> tuple[tuple[Perm, ...], ...]:
     """30 reference parts: one 2-cycle-through-1 element plus four 6-cycles."""
     rows = _parse_parts("l61_t1.txt", 6)
-    assert len(rows) == 30
+    _check(len(rows) == 30, "l61_t1.txt", f"{len(rows)} parts, not 30")
     return rows
 
 
@@ -43,8 +49,8 @@ def zone_table() -> dict[int, tuple[tuple[Perm, ...], ...]]:
         z = int(z_text)
         row = tuple(parse_cycles(cell, 6) for cell in rest.split("|"))
         out.setdefault(z, []).append(row)
-    assert sorted(out) == [2, 3, 4, 5, 6]
-    assert all(len(rows) == 4 for rows in out.values())
+    _check(sorted(out) == [2, 3, 4, 5, 6], "l61_zones.txt", f"zones {sorted(out)}, not 2..6")
+    _check(all(len(rows) == 4 for rows in out.values()), "l61_zones.txt", "a zone without 4 rows")
     return {z: tuple(rows) for z, rows in out.items()}
 
 
@@ -52,7 +58,7 @@ def zone_table() -> dict[int, tuple[tuple[Perm, ...], ...]]:
 def t3_table() -> tuple[tuple[Perm, ...], ...]:
     """3 reference axis-5 parts anchored at the triple-transposition elements."""
     rows = _parse_parts("l61_t3_y5.txt", 6)
-    assert len(rows) == 3
+    _check(len(rows) == 3, "l61_t3_y5.txt", f"{len(rows)} parts, not 3")
     return rows
 
 
@@ -60,7 +66,7 @@ def t3_table() -> tuple[tuple[Perm, ...], ...]:
 def t4_table() -> tuple[tuple[Perm, ...], ...]:
     """4 reference axis-5 parts carrying the class-5 inverse pairs."""
     rows = _parse_parts("l61_t4_y5.txt", 6)
-    assert len(rows) == 4
+    _check(len(rows) == 4, "l61_t4_y5.txt", f"{len(rows)} parts, not 4")
     return rows
 
 
@@ -68,7 +74,7 @@ def t4_table() -> tuple[tuple[Perm, ...], ...]:
 def l41_table() -> tuple[tuple[Perm, ...], ...]:
     """The 3-part partition of the degree-3 graph on 4+4 vertices."""
     rows = _parse_parts("l41_parts.txt", 4)
-    assert len(rows) == 3 and all(len(r) == 3 for r in rows)
+    _check(len(rows) == 3 and all(len(r) == 3 for r in rows), "l41_parts.txt", "not 3 parts of 3")
     return rows
 
 

@@ -370,8 +370,9 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
 
 
 def save_certificate(cert: PartitionCertificate, path: str | os.PathLike) -> None:
-    # json.dumps runs the C encoder; json.dump to a file would not
-    text = json.dumps(certificate_to_json(cert)) + "\n"
+    # json.dumps runs the C encoder; json.dump to a file would not.  A
+    # certificate is a tree of tuples, so the encoder need not track cycles
+    text = json.dumps(certificate_to_json(cert), check_circular=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

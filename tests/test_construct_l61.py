@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from itertools import count
 
 import pytest
 
+from perfpart import construct_l61
 from perfpart.construct_l61 import (
     DEFAULT_PATTERN,
     DEFAULT_SEED,
@@ -187,6 +189,132 @@ def test_t3_agrees_with_the_closed_formula(l61_classes):
     assert canonical_parts(formula_parts) == canonical_parts(
         build_t3(DEFAULT_Y0, zone)
     )
+
+
+def _fixed(value):
+    return lambda *args: value
+
+
+def _numbered():
+    """A fake from_cycle_tuples that returns a new value at each call."""
+    calls = count()
+    return lambda cycles, n: next(calls)
+
+
+C24_0_EXAMPLE = parse_cycles("(1 2)(3 4 5 6)", 6)
+
+
+@pytest.mark.parametrize(
+    "name, fake, step, failure",
+    [
+        (
+            "from_cycle_tuples",
+            lambda real: _fixed((2, 1, 4, 3, 6, 5)),
+            lambda zone: pattern_apply(DEFAULT_PATTERN),
+            "2-cycles must be distinct",
+        ),
+        (
+            "_zone_rows",
+            lambda real: lambda beta: real(beta) if beta == DEFAULT_PATTERN else {beta},
+            lambda zone: propagate_zone(DEFAULT_PATTERN),
+            "zone not well defined",
+        ),
+        (
+            "_zone_rows",
+            lambda real: lambda beta: {beta},
+            lambda zone: propagate_zone(DEFAULT_PATTERN),
+            "not the class's C33 elements",
+        ),
+        (
+            "label_l61",
+            lambda real: _fixed("C6"),
+            lambda zone: propagate_zone(DEFAULT_PATTERN),
+            "a pinned member is not in C24",
+        ),
+        (
+            "pattern_apply",
+            lambda real: lambda beta: real(parse_cycles("(1 2 3)(4 5 6)", 6)),
+            lambda zone: propagate_zone(DEFAULT_PATTERN),
+            "2-cycle misses",
+        ),
+        (
+            "pattern_apply",
+            lambda real: lambda beta: real(DEFAULT_PATTERN),
+            lambda zone: propagate_zone(DEFAULT_PATTERN),
+            "do not share four 2-cycles",
+        ),
+        (
+            "propagate_zone",
+            lambda real: lambda beta: real(DEFAULT_PATTERN),
+            lambda zone: linked_zones(DEFAULT_PATTERN),
+            "not the classes 2..6",
+        ),
+        (
+            "propagate_zone",
+            lambda real: lambda beta: construct_l61.Zone(real(beta).y, real(DEFAULT_PATTERN).rows),
+            lambda zone: linked_zones(DEFAULT_PATTERN),
+            "zones must be pairwise disjoint",
+        ),
+        (
+            "from_cycle_tuples",
+            lambda real: _numbered(),
+            lambda zone: t1_subset(C24_0_EXAMPLE),
+            "changed the subset",
+        ),
+        (
+            "label_l61",
+            lambda real: _fixed("C24_0"),
+            lambda zone: t1_subset(C24_0_EXAMPLE),
+            "four six-cycles",
+        ),
+        (
+            "t1_subset",
+            lambda real: lambda sigma: real(C24_0_EXAMPLE),
+            lambda zone: build_t1(),
+            "not 30 disjoint parts",
+        ),
+        (
+            "_classes",
+            lambda real: lambda: {**real(), "C222": ()},
+            lambda zone: build_t3(DEFAULT_Y0, zone),
+            "do not fall into four per",
+        ),
+        (
+            "label_l61",
+            lambda real: _fixed("C24"),
+            lambda zone: build_t4(DEFAULT_Y0, zone),
+            "no C222 element",
+        ),
+        (
+            "inverse",
+            lambda real: lambda p: p,
+            lambda zone: build_t4(DEFAULT_Y0, zone),
+            "not 20 distinct members",
+        ),
+    ],
+    ids=[
+        "pattern_apply",
+        "zone-reseeding",
+        "zone-members",
+        "zone-c24",
+        "zone-axis",
+        "zone-two-cycles",
+        "linked_zones",
+        "linked_zones-disjoint",
+        "t1_subset-rotations",
+        "t1_subset",
+        "build_t1",
+        "build_t3",
+        "build_t4-c222",
+        "build_t4-distinct",
+    ],
+)
+def test_a_step_that_goes_wrong_raises(name, fake, step, failure, monkeypatch):
+    """The construction checks are raises, so python -O keeps them."""
+    zone = default_zones()[DEFAULT_Y0]
+    monkeypatch.setattr(construct_l61, name, fake(getattr(construct_l61, name)))
+    with pytest.raises(RuntimeError, match=failure):
+        step(zone)
 
 
 def test_builders_reject_mismatched_zone():

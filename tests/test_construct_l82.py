@@ -16,6 +16,7 @@ from perfpart.construct_l82 import (
     E_BLOCKS,
     FLIP_SETS,
     ZERO_PATTERNS,
+    _grid_perm,
     _labels,
     _residual_pairs,
     _type2_member,
@@ -60,6 +61,33 @@ def test_label_table_matches_the_block_labels():
     assert Counter(table.values()) == {
         "S0_1": 768, "S0_rest": 1536, "S1": 1536, "S2": 768, "S4": 144
     }
+
+
+def test_grid_perm_reads_back_every_matching_grid():
+    for p in enumerate_matchings(l_graph(2, 4)):
+        assert _grid_perm(perm_grid(p)) == p
+
+
+@pytest.mark.parametrize(
+    "change, failure",
+    [
+        # a second E-block in block row 1 puts another image in row 1
+        (lambda grid: grid.__setitem__((1, 1), E11), "two images in row 1"),
+        # an invertible block whose first cell's row is taken
+        (lambda grid: grid.__setitem__((1, 1), (E11, E22)), "two images in row 1"),
+        # a cell left out leaves a row, and a column, without an image
+        (lambda grid: grid.pop((1, 2)), "do not form a permutation"),
+        # a cell moved to the other column of its block repeats that column
+        (lambda grid: grid.__setitem__((1, 2), e_col_flip(grid[1, 2])), "do not form a permutation"),
+    ],
+)
+def test_grid_perm_rejects_a_grid_that_is_no_permutation(change, failure):
+    p = (3, 5, 1, 7, 8, 2, 4, 6)  # E-blocks only, one in each (block row, block column)
+    grid = perm_grid(p)
+    assert _grid_perm(grid) == p and all(isinstance(blk[0], int) for blk in grid.values())
+    change(grid)
+    with pytest.raises(RuntimeError, match=failure):
+        _grid_perm(grid)
 
 
 def test_type2_member_outside_s0_rest_raises():

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blocks import block_label
@@ -35,6 +35,7 @@ def test_enumeration_is_sorted_and_exact():
 
 def test_enumeration_of_complete_graph():
     assert count_by_enumeration(l_graph(0, n=5)) == 120
+    assert list(enumerate_matchings(l_graph(0, n=8))) == list(permutations(range(1, 9)))
     assert count_by_enumeration(l_graph(2, 1)) == 0
 
 
@@ -46,6 +47,8 @@ def matrices(draw):
 
 
 @given(matrices())
+# 7 x 7, past the strategy's sizes, with its rows out of degree order
+@example(from_matrix(["1111111", "1010101", "0110011", "1100000", "0011110", "1001011", "0100101"]))
 def test_enumeration_matches_brute_force(spec):
     n = spec.n
     want = [
@@ -158,6 +161,7 @@ def test_ledger_l82_matches_the_block_view_on_every_l24_matching():
     matchings = list(enumerate_matchings(l_graph(2, 4)))
     assert len(matchings) == 4752
     assert all(ledger_l82(p) == block_label(p) for p in matchings)
+    assert all(label_l82(p) == f"S{len(invertible_blocks(p))}" for p in matchings)
     assert Counter(map(ledger_l82, matchings)) == {
         "S0_1": 768, "S0_rest": 1536, "S1": 1536, "S2": 768, "S4": 144
     }
@@ -167,6 +171,13 @@ def test_ledger_l82_needs_degree_8():
     for p in ((2, 1, 4, 3), (3, 4, 1, 2, 7, 8, 5, 6, 9), ()):
         with pytest.raises(ValueError):
             ledger_l82(p)
+
+
+def test_label_l82_refuses_three_invertible_blocks():
+    # no permutation of 8 has three: block rows filling three blocks leave
+    # the fourth block whole to the last block row
+    with pytest.raises(ValueError, match="impossible invertible-block count 3"):
+        label_l82((2, 1, 4, 3, 6, 5, 1, 3))
 
 
 def test_classify_l82_keeps_the_input_order():

@@ -1,5 +1,8 @@
 """Permutation primitives: group laws and cycle-notation round trips."""
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +94,20 @@ def test_cycle_type_partitions_n(p: Perm):
     ct = cycle_type(p)
     assert sum(ct) == len(p)
     assert list(ct) == sorted(ct)
+
+
+def cycles_of_rendering(p: Perm) -> str:
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles_of(p)) or "()"
+
+
+def test_cycle_string_renders_cycles_of():
+    for n in range(1, 8):
+        for p in permutations(range(1, n + 1)):
+            assert to_cycles(p) == cycles_of_rendering(p)
+    rng = random.Random(7)
+    for n in range(MAX_N - 2, MAX_N + 40):
+        p = tuple(rng.sample(range(1, n + 1), n))
+        assert to_cycles(p) == cycles_of_rendering(p)
 
 
 def test_cycle_string_past_the_cached_digits():
