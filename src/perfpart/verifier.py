@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from collections import Counter
 from collections.abc import Sequence
 from itertools import chain, islice
+from operator import itemgetter
 
 from .counting import closed_count, count_up_to
 from .graph_model import (
@@ -204,6 +205,23 @@ def _completeness_violations(spec: GraphSpec, have: set[Perm]) -> list[Violation
     return out
 
 
+def _distinct_by_index(parts: Sequence[Sequence[Perm]], row: frozenset[int]) -> bool:
+    """True when no member of parts, all valid factorizations, repeats;
+    False when one repeats or when this test cannot tell.
+
+    A valid part has one member for each column of row, adjacency row 1,
+    and that column is the member's first image.  When member j of every
+    part has the j-th smallest column as its first image, as in
+    make_certificate's order, two equal members sit at the same index, so
+    one set per index, each as long as parts, finds every repeat.
+    """
+    for j, first in enumerate(sorted(row)):
+        column = set(map(itemgetter(j), parts))
+        if len(column) < len(parts) or set(map(itemgetter(0), column)) != {first}:
+            return False
+    return True
+
+
 def check_partition(cert: PartitionCertificate) -> PartitionReport:
     """Verify every part, cross-part disjointness, and (if claimed) completeness.
 
@@ -211,7 +229,12 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
     of completeness holds exactly when the graph has no further matching,
     which count_up_to decides by count.  Matchings are enumerated only to
     name what is missing when that test does not pass, and only up to the
-    first MISSING_NAMED of them.
+    first MISSING_NAMED of them.  The members are counted by part, and when
+    every part is valid, _distinct_by_index looks for a repeat one member
+    index at a time; only when it cannot decide is the set of all members
+    built, straight from the parts.  So neither a list nor a set of every
+    member sits beside a valid certificate whose members are in
+    make_certificate's order.
     """
     spec = cert.graph
     violations: list[Violation] = []
@@ -225,9 +248,12 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
                 for v in _factorization_violations(part, d, rows)
             )
 
-    members = list(chain.from_iterable(cert.parts))
-    seen = set(members)
-    if len(seen) < len(members):
+    n_matchings = sum(map(len, cert.parts))
+    if not violations and _distinct_by_index(cert.parts, rows[0]):
+        n_distinct = n_matchings
+    else:
+        n_distinct = len(set(chain.from_iterable(cert.parts)))
+    if n_distinct < n_matchings:
         # some member repeats; word each repeat that crosses parts
         first: dict[Perm, int] = {}
         for k, part in enumerate(cert.parts):
@@ -240,14 +266,14 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
                     )
                 first.setdefault(p, k)
 
-    if cert.complete and (violations or count_up_to(spec, len(seen)) != len(seen)):
-        violations.extend(_completeness_violations(spec, seen))
+    if cert.complete and (violations or count_up_to(spec, n_distinct) != n_distinct):
+        violations.extend(_completeness_violations(spec, set(chain.from_iterable(cert.parts))))
 
     return PartitionReport(
         ok=not violations,
         violations=violations,
         n_parts=len(cert.parts),
-        n_matchings=len(members),
+        n_matchings=n_matchings,
     )
 
 
@@ -341,7 +367,16 @@ def _images(parts):
     return chain.from_iterable(chain.from_iterable(parts))
 
 
-def certificate_from_json(obj: dict) -> PartitionCertificate:
+def _certificate_from_json(obj: dict, release: bool) -> PartitionCertificate:
+    """certificate_from_json, which load_certificate calls with release.
+
+    A JSON object (a dict) where the format has an array is refused, since
+    tuple() would read it as the tuple of its keys; lists and tuples are
+    read alike.  With release, each part of the list obj["parts"] is
+    replaced by None once its tuples exist, so the decoded lists and the
+    tuples are never all alive at once.  Only the owner of obj may ask for
+    that.
+    """
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"certificate must be an object, not {short_repr(obj)}")
@@ -351,7 +386,21 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
         complete = obj["complete"]
         if not isinstance(complete, bool):
             raise ValueError(f"complete must be true or false, not {short_repr(complete)}")
-        parts = tuple(tuple(map(tuple, part)) for part in obj["parts"])
+        listed = obj["parts"]
+        if isinstance(listed, dict):
+            raise TypeError(f"parts must be an array, not {short_repr(listed)}")
+        release = release and type(listed) is list
+        parts = []
+        for k, part in enumerate(listed):
+            if isinstance(part, dict):
+                raise TypeError(f"part {k} must be an array, not {short_repr(part)}")
+            if dict in map(type, part):
+                j = next(j for j, p in enumerate(part) if type(p) is dict)
+                raise TypeError(f"part {k} member {j} must be an array, not {short_repr(part[j])}")
+            parts.append(tuple(map(tuple, part)))
+            if release:
+                listed[k] = None
+        parts = tuple(parts)
         # exact types, as _json_int requires of the header numbers
         if not set(map(type, _images(parts))) <= {int}:
             bad = next(x for x in _images(parts) if type(x) is not int)
@@ -369,14 +418,47 @@ def certificate_from_json(obj: dict) -> PartitionCertificate:
     return PartitionCertificate(graph=graph, complete=complete, parts=parts)
 
 
+def certificate_from_json(obj: dict) -> PartitionCertificate:
+    """The certificate that the JSON value obj describes; ValueError names the
+    first reason it is none.  obj is left as it was."""
+    return _certificate_from_json(obj, release=False)
+
+
+# save_certificate encodes the parts this many at a time.  While it works,
+# the C encoder holds about 75 bytes per image on Python 3.11, so a slice of
+# 256 K_{8,8} parts peaks near 1.2 MB; search --out's 20 to 309 parts take
+# one or two slices
+SAVE_SLICE = 256
+
+
 def save_certificate(cert: PartitionCertificate, path: str | os.PathLike) -> None:
-    # json.dumps runs the C encoder; json.dump to a file would not.  A
-    # certificate is a tree of tuples, so the encoder need not track cycles
-    text = json.dumps(certificate_to_json(cert), check_circular=False) + "\n"
+    """Write the bytes json.dumps(certificate_to_json(cert),
+    check_circular=False) + "\n" to path, without building that text.
+
+    The header goes first, then the parts SAVE_SLICE at a time, each slice
+    through json.dumps: it runs the C encoder, which json.dump to a file
+    would not.  A certificate is a tree of tuples, so the encoder need not
+    track cycles.  Only one slice's text is alive at a time, so a part that
+    json cannot encode raises with the file already half written.
+    """
+    # the header ends '"parts": []}'; the parts go between its brackets
+    head = json.dumps({**certificate_to_json(cert), "parts": ()}, check_circular=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(head[:-2])
+        for start in range(0, len(cert.parts), SAVE_SLICE):
+            if start:
+                fh.write(", ")
+            text = json.dumps(cert.parts[start : start + SAVE_SLICE], check_circular=False)
+            fh.write(text[1:-1])
+        fh.write("]}\n")
 
 
 def load_certificate(path: str | os.PathLike) -> PartitionCertificate:
+    """The certificate saved at path, read as certificate_from_json reads it.
+
+    Each decoded part is dropped as soon as its tuples exist, so the
+    decoded lists and the certificate's tuples are not both held whole.
+    """
     with open(path, encoding="utf-8") as fh:
-        return certificate_from_json(json.load(fh))
+        obj = json.load(fh)
+    return _certificate_from_json(obj, release=True)
