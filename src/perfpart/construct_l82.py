@@ -24,10 +24,9 @@ build_l82 assembles the 792 parts into a verified certificate.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
-from .graph_model import GraphSpec, l_graph
+from .graph_model import BLOCK_COLUMN, GraphSpec, l_graph
 from .matchings import L82_LEDGER, enumerate_matchings, ledger_l82
 from .perm_core import Perm, is_permutation
 from .tables import l41_table
@@ -71,10 +70,12 @@ _COLUMNS = frozenset(range(1, N + 1))
 
 
 def _grid_perm(cells: Grid) -> Perm:
-    """Collapse sparse 4x4 block cells into the permutation they encode.
+    """Collapse sparse 4x4 block cells into the matching of L(2, 4) they encode.
 
     Cell (a, b) of block (bi, bj) puts image 2 * bj - 2 + b in row
-    2 * bi - 2 + a; an invertible block puts both of its cells.
+    2 * bi - 2 + a; an invertible block puts both of its cells.  RuntimeError
+    unless the images form a permutation with none in its row's diagonal
+    block, so every member it returns meets ledger_l82's precondition.
     """
     images = [0] * N
     for (bi, bj), (a, b) in cells.items():
@@ -89,20 +90,11 @@ def _grid_perm(cells: Grid) -> Perm:
         images[top + a] = left + b
     if set(images) != _COLUMNS:
         raise RuntimeError(f"block cells do not form a permutation: {cells}")
+    for row, x in enumerate(images):
+        if BLOCK_COLUMN[x] == row >> 1:
+            b = BLOCK_COLUMN[x] + 1
+            raise RuntimeError(f"block cells put an image in diagonal block ({b}, {b}): {cells}")
     return tuple(images)
-
-
-@lru_cache(maxsize=None)
-def _labels() -> dict[Perm, str]:
-    """The ledger_l82 class of every matching of L(2, 4): S0_1, S0_rest
-    (S0 minus S0_1), S1, S2 or S4.  A permutation missing here is no
-    matching of L(2, 4)."""
-    return {p: ledger_l82(p) for p in enumerate_matchings(GRAPH)}
-
-
-def _group(label: str) -> set[Perm]:
-    """The matchings _labels puts in one class."""
-    return {p for p, lab in _labels().items() if lab == label}
 
 
 def _require(ok: bool, failure: str) -> None:
@@ -179,8 +171,9 @@ def type1_part(
     four E-blocks of P are forced by its row/column sums, Q is the blockwise
     complement, and the S1 members S, T, U, V (invertible block at (1, i),
     (i, 1), (j, k), (k, j) respectively) follow from two seeded determination
-    chains plus corner closure.  Every forced step is checked; a failed
-    closure raises instead of emitting a bad part.
+    chains plus corner closure.  Every forced step is checked, and
+    ledger_l82 checks each member's class; a failed check raises instead of
+    emitting a bad part.
     """
     i, j, k = pattern
     if {i, j, k} != {2, 3, 4} or j > k:
@@ -218,7 +211,7 @@ def type1_part(
         c[pos] = _co_invertible(b[pos])
 
     part = tuple(_grid_perm(g) for g in (p_grid, q_grid, s, t, u, v))
-    if [_labels().get(m) for m in part] != ["S0_1"] * 2 + ["S1"] * 4:
+    if [ledger_l82(m) for m in part] != ["S0_1"] * 2 + ["S1"] * 4:
         raise RuntimeError(f"part for {pattern} {free} is not two S0_1 and four S1 members")
     return part
 
@@ -228,7 +221,8 @@ def build_type1() -> list[tuple[Perm, ...]]:
 
     Per pattern, the four free blocks give 4^4 seeds; restricting P's block
     at (1, j) to the top row picks one representative of each {P, Q} swap,
-    leaving 3 * 2^7 = 384 distinct parts.
+    leaving 3 * 2^7 = 384 distinct parts.  type1_part labels every member,
+    so 768 distinct S0_1 and 1536 distinct S1 members are both whole classes.
     """
     parts = []
     for pattern in ZERO_PATTERNS:
@@ -238,11 +232,8 @@ def build_type1() -> list[tuple[Perm, ...]]:
     _require(len(parts) == 384, "type I: not 384 parts")
     _require(len({tuple(sorted(p)) for p in parts}) == 384, "type I: a part repeats")
 
-    s01_used = [m for p in parts for m in p[:2]]
-    s1_used = [m for p in parts for m in p[2:]]
-    _require(len(set(s01_used)) == 768 and len(set(s1_used)) == 1536, "type I: a member repeats")
-    _require(set(s01_used) == _group("S0_1"), "type I: S0_1 is not covered")
-    _require(set(s1_used) == _group("S1"), "type I: S1 is not covered")
+    _require(len({m for p in parts for m in p[:2]}) == 768, "type I: S0_1 is not covered")
+    _require(len({m for p in parts for m in p[2:]}) == 1536, "type I: S1 is not covered")
     return parts
 
 
@@ -276,7 +267,7 @@ CYCLE_REPS: tuple[tuple[int, int, int, int], ...] = ((1, 2, 3, 4), (1, 2, 4, 3),
 
 def _type2_member(grid: Grid, context: str) -> Perm:
     m = _grid_perm(grid)
-    if _labels().get(m) != "S0_rest":
+    if ledger_l82(m) != "S0_rest":
         raise RuntimeError(f"family member not in S0 minus S0_1: {context}")
     return m
 
@@ -340,7 +331,7 @@ def _type2_family(
     if not _walk(used, ring, (m1, m2, m1, m2), 2 if p1 == p2 else 1):
         raise RuntimeError(f"S2 chain failed to close: {ctx}")
     pair = sorted((_grid_perm(m1), _grid_perm(m2)))
-    if any(_labels().get(m) != "S2" for m in pair):
+    if any(ledger_l82(m) != "S2" for m in pair):
         raise RuntimeError(f"residual pair not in S2: {ctx}")
     return (*members, *pair)
 
@@ -394,25 +385,20 @@ def build_type2() -> list[tuple[Perm, ...]]:
     rebuilds the same family with A1 and A2 swapped.  Complementing moves the
     chord at (1, j) between block rows, so the first families whose (1, j)
     chord lies in the top row give each part from exactly one seed:
-    3 * 2 * 4^3 = 384.  Parts are returned with sorted members, in sorted
-    order.
+    3 * 2 * 4^3 = 384.  _type2_family labels every member, so 1536 distinct
+    S0_rest and 768 distinct S2 members are both whole classes.  Parts are
+    returned with sorted members, in sorted order.
     """
-    parts = sorted(
-        tuple(sorted(_type2_family(cycle, (ch1j, *rest))))
+    families = [
+        _type2_family(cycle, (ch1j, *rest))
         for cycle in CYCLE_REPS
         for ch1j in (E11, E12)
         for rest in product(E_BLOCKS, repeat=3)
-    )
-    _require(len(parts) == 384, "type II: not 384 parts")
-
-    labels = _labels()
-    s0_used = [m for p in parts for m in p if labels.get(m) in ("S0_1", "S0_rest")]
-    s2_used = [m for p in parts for m in p if labels.get(m) == "S2"]
-    _require(len(s0_used) == len(set(s0_used)) == 1536, "type II: not 1536 distinct S0 members")
-    _require(len(s2_used) == len(set(s2_used)) == 768, "type II: not 768 distinct S2 members")
-    _require(set(s0_used) == _group("S0_rest"), "type II: S0_rest is not covered")
-    _require(set(s2_used) == _group("S2"), "type II: S2 is not covered")
-    return parts
+    ]
+    _require(len(families) == 384, "type II: not 384 parts")
+    _require(len({m for f in families for m in f[:4]}) == 1536, "type II: S0_rest is not covered")
+    _require(len({m for f in families for m in f[4:]}) == 768, "type II: S2 is not covered")
+    return sorted(tuple(sorted(f)) for f in families)
 
 
 FLIP_SETS: tuple[tuple[int, ...], ...] = ((), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4))
@@ -426,7 +412,8 @@ def build_type3() -> list[tuple[Perm, ...]]:
     every block row and R2 in every block row, with I2 and R2 swapped on the
     block rows of the flip set.  The 8 flip sets hit exactly one of each
     complementary pair of the 16 I/R assignments per block matching, so the
-    3 * 8 parts tile all 9 * 16 = 144 S4 members.
+    3 * 8 parts tile all 9 * 16 = 144 S4 members: 144 distinct members that
+    ledger_l82 puts in S4 are the whole class.
     """
     parts = [
         tuple(
@@ -438,22 +425,21 @@ def build_type3() -> list[tuple[Perm, ...]]:
         for flips in FLIP_SETS
     ]
     _require(len(parts) == 24, "type III: not 24 parts")
-    flat = [m for p in parts for m in p]
-    _require(len(flat) == len(set(flat)) == 144, "type III: not 144 distinct members")
-    _require(set(flat) == _group("S4"), "type III: S4 is not covered")
+    flat = {m for p in parts for m in p}
+    _require(len(flat) == 144 and all(ledger_l82(m) == "S4" for m in flat), "type III: S4 is not covered")
     return parts
 
 
 def classify_parts(parts) -> dict[str, int]:
-    """Census of a part list: per-type part counts and per-class member usage.
+    """Census of a part list: per-type part counts and per-class member usage,
+    each member labelled by ledger_l82.
 
     Every member must be a matching of L(2, 4), as every part build_l82
-    emits is.
+    emits is; ledger_l82 does not check that.
     """
     out = dict.fromkeys(("type1_parts", "type2_parts", "type3_parts", *L82_LEDGER), 0)
-    labels = _labels()
     for part in parts:
-        part_labels = [labels[tuple(m)] for m in part]
+        part_labels = [ledger_l82(m) for m in part]
         for lab in part_labels:
             out[lab] += 1
         if "S0_1" in part_labels:

@@ -139,9 +139,11 @@ class CountReport:
 
     @property
     def count(self) -> int:
+        """The rook count, else the oracle count; ValueError when it has neither."""
         if self.rook_count is not None:
             return self.rook_count
-        assert self.oracle_count is not None
+        if self.oracle_count is None:
+            raise ValueError("CountReport has neither a rook count nor an oracle count")
         return self.oracle_count
 
 

@@ -141,19 +141,27 @@ def is_matching(spec: GraphSpec, p: Sequence[int]) -> bool:
     return all(spec.adjacency(i, x) for i, x in enumerate(p, start=1))
 
 
+# The L(2, 4) block-cell rule, read from the images of one block row.
+# BLOCK_COLUMN[x]: the 0-based block column (x - 1) >> 1 of image x in 1..8;
+# BLOCK_COLUMN[0] is unused.
+BLOCK_COLUMN = (0, 0, 0, 1, 1, 2, 2, 3, 3)
+# FILLS_BLOCK[8 * a + b - 9]: 1 when a block row's images a and b (1..8) lie
+# in one block and differ, so they fill it as I2 or R2; else 0.
+FILLS_BLOCK = tuple(
+    int(BLOCK_COLUMN[a] == BLOCK_COLUMN[b] and a != b) for a in range(1, 9) for b in range(1, 9)
+)
+
+
 def invertible_blocks(p: Perm) -> list[tuple[int, int]]:
     """1-based block positions whose 2x2 cell is invertible: identity or reversal.
 
-    Read from the images: block row bi's two images land in blocks
-    (p[2bi] - 1) >> 1 and (p[2bi + 1] - 1) >> 1, and the cell is invertible
-    exactly when both land in the same block at distinct columns.
+    Read from the images of each block row by the FILLS_BLOCK pair table; p
+    must be a permutation of 8.
     """
     if len(p) != 8:
         raise ValueError("block view is defined for n = 8")
-    out = []
-    for bi in range(4):
-        a, b = p[2 * bi], p[2 * bi + 1]
-        if (a - 1) >> 1 == (b - 1) >> 1 and a != b:
-            out.append((bi + 1, (a + 1) >> 1))
-    return out
-
+    return [
+        (bi + 1, BLOCK_COLUMN[a] + 1)
+        for bi, (a, b) in enumerate(zip(p[::2], p[1::2]))
+        if FILLS_BLOCK[8 * a + b - 9]
+    ]

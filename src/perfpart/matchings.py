@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .graph_model import GraphSpec
+from .graph_model import BLOCK_COLUMN, FILLS_BLOCK, GraphSpec
 from .perm_core import Perm, cycle_type
 
 
@@ -165,29 +165,20 @@ def census_l61(classes: dict[str, list[Perm]]) -> tuple[int, int, int, int, int]
 
 L82_LABELS = ("S0", "S1", "S2", "S4")
 L82_LEDGER = ("S0_1", "S0_rest", "S1", "S2", "S4")
-
-
-# _INVERTIBLE[8 * a + b - 9]: 1 when a block row's images a and b (1..8)
-# fill one 2x2 block, as I2 or R2, else 0
-_INVERTIBLE = tuple(
-    int((a - 1) >> 1 == (b - 1) >> 1 and a != b) for a in range(1, 9) for b in range(1, 9)
-)
-# _BLOCK[x]: the 0-based block column of image x; _BLOCK[0] is unused
-_BLOCK = (0, 0, 0, 1, 1, 2, 2, 3, 3)
 _S_LABELS = ("S0", "S1", "S2", None, "S4")
 
 
 def label_l82(p: Perm) -> str:
     """S0, S1, S2 or S4 by the invertible 2x2 blocks of p, a matching of
     L(2, 4): the count of block rows whose two images fill one block, read
-    from the _INVERTIBLE pair table.  p is not checked beyond its length
+    from graph_model.FILLS_BLOCK.  p is not checked beyond its length
     (certify labels thousands per pass); on another permutation of 8 the
     label means nothing: the identity is named S4.
     """
     if len(p) != 8:
         raise ValueError("block view is defined for n = 8")
     a, b, c, d, e, f, g, h = p
-    t = _INVERTIBLE
+    t = FILLS_BLOCK
     k = t[8 * a + b - 9] + t[8 * c + d - 9] + t[8 * e + f - 9] + t[8 * g + h - 9]
     if k == 3:
         raise ValueError(f"impossible invertible-block count {k}")
@@ -209,7 +200,7 @@ def ledger_l82(p: Perm) -> str:
     if lab != "S0":
         return lab
     a, b, c, d, e, f, g, h = p
-    blk = _BLOCK
+    blk = BLOCK_COLUMN
     z = (6 - blk[a] - blk[b], 5 - blk[c] - blk[d], 4 - blk[e] - blk[f], 3 - blk[g] - blk[h])
     return "S0_1" if z[z[0]] == 0 and z[z[1]] == 1 and z[z[2]] == 2 and z[z[3]] == 3 else "S0_rest"
 

@@ -85,7 +85,7 @@ def l61_golden_parts() -> list[tuple[Perm, ...]]:
         parts.extend(zone_table()[z])
     parts.extend(t3_table())
     parts.extend(t4_table())
-    assert len(parts) == 53
+    _check(len(parts) == 53, "l61_*.txt", f"{len(parts)} reference parts, not 53")
     return parts
 
 

@@ -1,8 +1,10 @@
 """The 2x2 block view of a degree-8 permutation, a test reference.
 
-graph_model.invertible_blocks and matchings.ledger_l82 read the same cells
-straight from the images; the tests check them and the L(2, 4) builders
-against this dense view and the zero blocks and ledger class read off it.
+graph_model.invertible_blocks, matchings.ledger_l82 and the L(2, 4)
+builders read the same cells from the images through graph_model's block
+and pair tables.  This view builds the dense 8x8 matrix instead and shares
+no code with them, so the tests check all three against it and against the
+zero blocks and ledger class read off it.
 """
 
 Block = tuple[tuple[int, int], tuple[int, int]]

@@ -1,6 +1,8 @@
 """Block-grid constructions behind the 792-part partition of L(2, 4)."""
 
 import hashlib
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations, product
 
@@ -17,7 +19,6 @@ from perfpart.construct_l82 import (
     FLIP_SETS,
     ZERO_PATTERNS,
     _grid_perm,
-    _labels,
     _residual_pairs,
     _type2_member,
     classify_parts,
@@ -30,7 +31,7 @@ from perfpart.construct_l82 import (
 )
 from blocks import block_label, block_view, oracle_zero_blocks
 from perfpart.graph_model import invertible_blocks, l_graph
-from perfpart.matchings import enumerate_matchings, label_l82
+from perfpart.matchings import enumerate_matchings, label_l82, ledger_l82
 from perfpart.verifier import check_factorization, check_partition
 
 
@@ -53,16 +54,6 @@ def perm_grid(p):
     return grid
 
 
-def test_label_table_matches_the_block_labels():
-    matchings = list(enumerate_matchings(l_graph(2, 4)))
-    table = _labels()
-    assert len(table) == len(matchings) == 4752
-    assert all(table[m] == block_label(m) for m in matchings)
-    assert Counter(table.values()) == {
-        "S0_1": 768, "S0_rest": 1536, "S1": 1536, "S2": 768, "S4": 144
-    }
-
-
 def test_grid_perm_reads_back_every_matching_grid():
     for p in enumerate_matchings(l_graph(2, 4)):
         assert _grid_perm(perm_grid(p)) == p
@@ -79,6 +70,13 @@ def test_grid_perm_reads_back_every_matching_grid():
         (lambda grid: grid.pop((1, 2)), "do not form a permutation"),
         # a cell moved to the other column of its block repeats that column
         (lambda grid: grid.__setitem__((1, 2), e_col_flip(grid[1, 2])), "do not form a permutation"),
+        # block row 1's cell moved from block column 2 to the diagonal block
+        # (1, 1), and block row 2's from block column 1 to block column 2:
+        # still a permutation, but no matching of L(2, 4)
+        (
+            lambda grid: grid.update({(1, 1): grid.pop((1, 2)), (2, 2): grid.pop((2, 1))}),
+            r"diagonal block \(1, 1\)",
+        ),
     ],
 )
 def test_grid_perm_rejects_a_grid_that_is_no_permutation(change, failure):
@@ -96,10 +94,13 @@ def test_type2_member_outside_s0_rest_raises():
         by_label.setdefault(block_label(m), m)
     s0_rest = by_label.pop("S0_rest")
     assert _type2_member(perm_grid(s0_rest), "ok") == s0_rest
-    # the identity is a permutation but no matching: its diagonal blocks are I2
-    for m in [*by_label.values(), tuple(range(1, 9))]:
+    for m in by_label.values():
         with pytest.raises(RuntimeError, match="not in S0 minus S0_1"):
             _type2_member(perm_grid(m), "test")
+    # the identity is a permutation but no matching: its diagonal blocks are
+    # I2, which _grid_perm refuses before any label is read
+    with pytest.raises(RuntimeError, match=r"diagonal block \(1, 1\)"):
+        _type2_member(perm_grid(tuple(range(1, 9))), "test")
 
 
 @pytest.mark.parametrize(
@@ -109,11 +110,10 @@ def test_type2_member_outside_s0_rest_raises():
         (construct_l82.build_type3, "S4", "S4 is not covered"),
     ],
 )
-def test_a_mislabelled_member_fails_the_ledger_check(build, label, failure, monkeypatch):
+def test_a_mislabelled_member_fails_the_ledger_check(build, label, failure, l82_classes, monkeypatch):
     """The ledger checks raise, so python -O keeps them."""
-    labels = dict(_labels())
-    labels[next(m for m, lab in labels.items() if lab == label)] = "S2"
-    monkeypatch.setattr(construct_l82, "_labels", lambda: labels)
+    wrong = l82_classes[label][0]
+    monkeypatch.setattr(construct_l82, "ledger_l82", lambda m: "S2" if m == wrong else ledger_l82(m))
     with pytest.raises(RuntimeError, match=failure):
         build()
 
@@ -274,6 +274,38 @@ def test_full_build(l82_cert):
         "S2": 768,
         "S4": 144,
     }
+
+
+# Builds L(2, 4) in a fresh interpreter, where no cache another test warmed
+# can hide a call, with every module's enumerate_matchings made to raise.
+BUILD_LISTING_NO_MATCHING = """
+import sys
+import perfpart
+from perfpart import construct_l82
+from perfpart.verifier import save_certificate
+
+def refuse(spec):
+    raise RuntimeError("the L(2, 4) build listed matchings")
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("perfpart") and hasattr(module, "enumerate_matchings"):
+        module.enumerate_matchings = refuse
+save_certificate(construct_l82.build_l82(), sys.argv[1])
+"""
+
+
+def test_the_l24_build_lists_no_matching(tmp_path):
+    path = tmp_path / "l82.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_LISTING_NO_MATCHING, str(path)],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "62c0a69453e3b6782de2644ca4938c77d8939846cdc6dfe60f13c95f4b42af5f"
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from perfpart.counting import (
+    CountReport,
     closed_count,
     count_matchings,
     necessary_condition,
@@ -150,3 +151,12 @@ def test_necessary_condition_on_the_hole_family():
 
     empty = necessary_condition(l_graph(3, 1))
     assert empty.degree == 0 and empty.count == 0 and empty.divisible
+
+
+def test_a_report_with_no_count_raises_value_error():
+    """The check is a raise, so python -O keeps it."""
+    report = CountReport(
+        n=5, r=None, m=None, rook_count=None, oracle_count=None, degree=3, divisible=False
+    )
+    with pytest.raises(ValueError, match="neither a rook count nor an oracle count"):
+        report.count

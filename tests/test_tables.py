@@ -44,6 +44,13 @@ def test_the_zone_file_must_hold_every_zone(monkeypatch, cold_tables):
         tables.zone_table()
 
 
+def test_the_golden_parts_must_number_53(monkeypatch, cold_tables):
+    t4 = tables.t4_table()
+    monkeypatch.setattr(tables, "t4_table", lambda: t4[:-1])
+    with pytest.raises(ValueError, match=r"perfpart/data/l61_\*\.txt: 52 reference parts, not 53"):
+        tables.l61_golden_parts()
+
+
 def test_the_tables_load_as_bundled(cold_tables):
     assert [len(loader()) for loader in LOADERS] == [30, 5, 3, 4, 3]
     assert len(tables.l61_golden_parts()) == 53
