@@ -15,11 +15,13 @@ knn_partition writes each coset as the sorted rotations of its
 representative and emits the parts in canonical order as it goes, so it
 sorts no part list; l2nn_partition hands its parts to make_certificate.
 
-Unlike build_l61 and build_l82, these builders skip verified_certificate:
-checking knn:8 took 39-42 ms of CPU against 14 ms to build it (medians of
-11 calls in each of five runs, 2-CPU VM, Python 3.11), which would nearly
-quadruple the build's time.  The tests verify every build up to knn:8 and
-l2nn:5 instead, and pin the bytes of those two.
+Unlike build_l61 and build_l82, these builders skip verified_certificate.
+The verifier checks their parts by its orbit test, and even so checking
+knn:8 takes 15-16 ms of CPU against 11-12 ms to build it, and l2nn:5
+7.6-7.8 ms against 6.4-6.6 ms (medians of 11 calls in each of three runs,
+2-CPU VM, Python 3.11.7), so the check would more than double the build's
+time.  The tests verify every build up to knn:8 and l2nn:5 instead, and pin
+the bytes of those two.
 """
 
 from __future__ import annotations

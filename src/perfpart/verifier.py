@@ -5,6 +5,18 @@ matchings of a graph into 1-factorizations.  Verification never raises on
 bad mathematical content; it returns structured violations so a caller can
 report every defect at once.  Exceptions are reserved for files that are not
 structurally certificates at all.
+
+A partition whose parts are row-rotation orbits is accepted by one test per
+part.  Let the rows split into consecutive blocks of d rows, d the degree,
+with the rows of a block equal, and let sigma rotate every block by one row.
+The members p o sigma^t (0 <= t < d) of a matching p then give each row of
+a block every column of its neighbourhood once, so they form a
+1-factorization, and as sigma^t fixes no row for 0 < t < d, two such orbits
+are equal or disjoint.  The coset partitions of K_{n,n} (one block) and of
+L(n, 2) (two blocks) are such orbits.  L(r, m) with m >= 3 or r = 1, and
+matrices without such blocks, skip the test at once; a certificate that
+fails it in any way is checked by the general path, which words every
+violation.
 """
 
 from __future__ import annotations
@@ -222,6 +234,41 @@ def _distinct_by_index(parts: Sequence[Sequence[Perm]], row: frozenset[int]) -> 
     return True
 
 
+def _are_row_orbits(
+    parts: Sequence[Sequence[Perm]], d: int, rows: tuple[frozenset[int], ...]
+) -> bool:
+    """True when the rows split into consecutive blocks of d equal rows, each
+    part is, in sorted order, the orbit of its first member p under sigma,
+    the rotation of every block by one row, p's images on each block are
+    that block's row set, and no two parts share a first member.
+
+    In a regular graph the blocks' row sets partition the columns, so p is a
+    matching, and by the lemma in the module docstring the parts are then
+    disjoint 1-factorizations.  False sends the certificate to the general
+    path.
+    """
+    n = len(rows)
+    if d < 2 or n % d or any(rows[i] != rows[i - i % d] for i in range(n)):
+        return False
+    starts = range(0, n, d)
+    block_rows = [rows[b] for b in starts]
+    # rotations[t](p) is p o sigma^t as an image tuple
+    rotations = [
+        itemgetter(*[b + (k + t) % d for b in starts for k in range(d)]) for t in range(d)
+    ]
+    for part in parts:
+        if not part:
+            return False
+        p = part[0]
+        if (
+            len(p) != n
+            or [frozenset(p[b : b + d]) for b in starts] != block_rows
+            or tuple(sorted([rotate(p) for rotate in rotations])) != part
+        ):
+            return False
+    return len({part[0] for part in parts}) == len(parts)
+
+
 def check_partition(cert: PartitionCertificate) -> PartitionReport:
     """Verify every part, cross-part disjointness, and (if claimed) completeness.
 
@@ -235,12 +282,28 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
     built, straight from the parts.  So neither a list nor a set of every
     member sits beside a valid certificate whose members are in
     make_certificate's order.
+
+    First, though, _are_row_orbits tries the orbit test.  When the rows
+    split into consecutive blocks of d rows, d the degree, each block's
+    rows equal, and sigma rotates every block by one row, the orbit of a
+    matching p, its members p o sigma^t for 0 <= t < d, is a
+    1-factorization, and two such orbits are equal or disjoint.  K_{n,n} is
+    one block of n rows and L(n, 2) two, so every knn:N and l2nn:N
+    certificate in make_certificate's order takes that test: d rotations and one
+    compare per part, and one set of first members.  When it holds, only the
+    count of a complete certificate remains.  Any failure, of the test or of
+    that count, runs the general check below, which words every violation.
     """
     spec = cert.graph
     violations: list[Violation] = []
     # once per certificate: degree() of a matrix sums every column
     d = degree(spec) if cert.parts else 0
     rows = _row_sets(spec)
+    n_matchings = sum(map(len, cert.parts))
+    if _are_row_orbits(cert.parts, d, rows) and not (
+        cert.complete and count_up_to(spec, n_matchings) != n_matchings
+    ):
+        return PartitionReport(ok=True, n_parts=len(cert.parts), n_matchings=n_matchings)
     for k, part in enumerate(cert.parts):
         if not _is_factorization(part, d, rows):
             violations.extend(
@@ -248,7 +311,6 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
                 for v in _factorization_violations(part, d, rows)
             )
 
-    n_matchings = sum(map(len, cert.parts))
     if not violations and _distinct_by_index(cert.parts, rows[0]):
         n_distinct = n_matchings
     else:

@@ -24,10 +24,10 @@ from perfpart import counting, verifier
 from perfpart.construct_group import knn_partition, l2nn_partition
 from perfpart.construct_l61 import build_l61
 from perfpart.construct_l82 import build_l82
-from perfpart.graph_model import GraphSpec, degree, from_matrix, l_graph
+from perfpart.graph_model import GraphSpec, degree, from_matrix, l_graph, row_strings
 from perfpart.matchings import enumerate_matchings
 from perfpart.perm_core import parse_cycles
-from perfpart.search import find_factorizations
+from perfpart.search import find_factorizations, find_perfect_partition
 from perfpart.tables import l41_table, t1_table
 from perfpart.verifier import PartitionCertificate
 from perfpart.verifier import (
@@ -646,6 +646,142 @@ def test_independent_check_agrees_on_tampered_parts(l61_cert):
         cert = PartitionCertificate(l61_cert.graph, False, tuple(map(tuple, parts)))
         obj = as_read(certificate_to_json(cert))
         assert independent_check.accepts(obj) == verify_accepts(obj) is False
+
+
+def row_orbit(p, d, size):
+    """The sorted members p o sigma^t, t = 0..d-1, where sigma rotates every
+    block of size consecutive rows by one row."""
+    n = len(p)
+    return tuple(
+        sorted(
+            tuple(p[b + (k + t) % size] for b in range(0, n, size) for k in range(size))
+            for t in range(d)
+        )
+    )
+
+
+def orbit_test_cases(cert):
+    """(name, parts, complete): cert as built, then under each corruption."""
+    parts = list(cert.parts)
+    n, d = cert.n, len(parts[0])
+    size = d if n % d == 0 else n  # a graph with no blocks of d rows gets one block
+    p = parts[0][0]
+    yield "as built", parts, True
+    yield "incomplete", parts, False
+    yield "repeated", [*parts, parts[0]], True
+    yield "reversed", [parts[0][::-1], *parts[1:]], True
+    yield "dropped", parts[1:], True
+    if len(parts) > 1:
+        a, b = list(parts[0]), list(parts[1])
+        a[-1], b[-1] = b[-1], a[-1]
+        yield "swapped", [tuple(a), tuple(b), *parts[2:]], True
+    if n > 1:
+        doubled = (p[0], p[0], *p[2:])  # rows 1 and 2 share an image
+        yield "orbit of a non-matching", [row_orbit(doubled, d, size), *parts[1:]], True
+    outside = (n + 1, *p[1:])
+    yield "orbit with an image outside 1..n", [row_orbit(outside, d, size), *parts[1:]], True
+    r = cert.graph.r
+    if cert.graph.m == 2 and r > 1:
+        # the top block of every member turned by one row: the orbit of
+        # another part, whose first member it shares
+        top = tuple(sorted(q[1:r] + q[:1] + q[r:] for q in parts[0]))
+        yield "top block rotated", [top, *parts[1:]], True
+
+
+def k55_search_cert():
+    k55 = from_matrix(["11111"] * 5)
+    return make_certificate(k55, find_perfect_partition(k55), complete=True)
+
+
+ORBIT_TEST_BUILDS = {
+    **{f"knn:{n}": partial(knn_partition, n) for n in range(1, 8)},
+    **{f"l2nn:{n}": partial(l2nn_partition, n) for n in range(1, 5)},
+    "k55 search": k55_search_cert,
+    "l82": build_l82,
+    "l61": build_l61,
+}
+
+
+@pytest.mark.parametrize("target", ORBIT_TEST_BUILDS)
+def test_the_orbit_test_and_the_general_path_agree(target, monkeypatch):
+    """Every report, passing or not, is the one the general path gives
+    with the orbit test turned off."""
+    cert = ORBIT_TEST_BUILDS[target]()
+    for name, parts, complete in orbit_test_cases(cert):
+        claim = PartitionCertificate(cert.graph, complete, tuple(parts))
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_are_row_orbits", lambda parts, d, rows: False)
+            general = check_partition(claim)
+        report = check_partition(claim)
+        assert report == general, name
+        assert report.ok == (name in ("as built", "incomplete", "reversed")), name
+
+
+def general_path_calls(monkeypatch):
+    """The names of the general path's per-part and per-index tests, one
+    entry per call."""
+    calls = []
+    for name in ("_is_factorization", "_distinct_by_index"):
+        real = getattr(verifier, name)
+        monkeypatch.setattr(
+            verifier, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "target, orbits", [("knn:8", True), ("l2nn:5", True), ("l82", False), ("l61", False)]
+)
+def test_orbit_certificates_skip_the_general_path(target, orbits, monkeypatch):
+    cert = knn8_cert() if target == "knn:8" else BUILDERS[target]()
+    calls = general_path_calls(monkeypatch)
+    assert check_partition(cert).ok
+    assert set(calls) == (set() if orbits else {"_is_factorization", "_distinct_by_index"})
+
+
+def interleaved_l2nn2():
+    """l2nn:2 with the rows of L(2, 2) in the order 1, 3, 2, 4, as a matrix:
+    no block of two consecutive rows has equal rows."""
+    order = (0, 2, 1, 3)
+    cert = l2nn_partition(2)
+    rows = row_strings(cert.graph)
+    graph = from_matrix([rows[i] for i in order])
+    parts = [[tuple(p[i] for i in order) for p in part] for part in cert.parts]
+    return make_certificate(graph, parts, complete=True)
+
+
+@pytest.mark.parametrize(
+    "cert, orbits",
+    [
+        (knn_partition(1), False),  # d = 1
+        (l2nn_partition(1), False),  # d = 1, two rows
+        (make_certificate(l_graph(2, 1), [[]], complete=True), False),  # d = 0
+        (make_certificate(from_matrix(["11111"] * 5), knn_partition(5).parts, complete=True), True),
+        (interleaved_l2nn2(), False),
+    ],
+    ids=["k11", "l12", "edgeless l21", "knn5 as a matrix", "l2nn2 interleaved"],
+)
+def test_the_orbit_test_at_the_edges_of_its_lemma(cert, orbits, monkeypatch):
+    rows = _row_sets(cert.graph)
+    assert verifier._are_row_orbits(cert.parts, degree(cert.graph), rows) == orbits
+    calls = general_path_calls(monkeypatch)
+    assert check_partition(cert).ok
+    assert ("_is_factorization" in calls) != orbits
+
+
+def test_an_orbit_on_blocks_of_unequal_rows_is_no_factorization():
+    """On the 8-cycle, (2, 1, 3, 4) is a matching whose images on rows 1-2
+    and 3-4 are the row sets of rows 1 and 3.  Rows 1 and 2 differ, as do
+    rows 3 and 4, so rotating the blocks gives the edges (2,2) and (4,3),
+    which are not in the graph."""
+    c8 = from_matrix(["1100", "1010", "0011", "0101"])
+    cert = PartitionCertificate(c8, False, (row_orbit((2, 1, 3, 4), 2, 2),))
+    assert cert.parts == (((1, 2, 4, 3), (2, 1, 3, 4)),)
+    assert not verifier._are_row_orbits(cert.parts, 2, _row_sets(c8))
+    assert [str(v) for v in check_partition(cert).violations] == [
+        "not_matching [part 0, member 0]: edge (2,2) absent",
+        "not_matching [part 0, member 0]: edge (4,3) absent",
+    ]
 
 
 @lru_cache(maxsize=1)
