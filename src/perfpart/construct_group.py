@@ -1,85 +1,69 @@
-"""Group-theoretic perfect partitions: K_{n,n} by cosets, L(n, 2) by coset pairs.
+"""Group-theoretic perfect partitions: K_{n,n} and L(n, 2) as row-rotation orbits.
 
-For the cyclic subgroup H generated by the n-cycle c = (1 2 ... n), every
-left coset gH of S_n is a 1-factorization of K_{n,n} (row i meets column
-g(c^t(i)) once for each t), and the cosets partition S_n, so the coset
-decomposition is a perfect partition with (n-1)! parts of size n.
-
-For L(2n, n), the graph on 2n points with two n x n holes, every matching is
-a pair (alpha, beta) of permutations of 1..n (top block to bottom, bottom to
-top).  The parts {(g c^t, h c^{t+d}) : t = 0..n-1} over coset representatives
-g, h and offsets d cover every pair exactly once, giving ((n-1)!)^2 * n parts
-of size n.
-
-knn_partition writes each coset as the sorted rotations of its
-representative and emits the parts in canonical order as it goes, so it
-sorts no part list; l2nn_partition hands its parts to make_certificate.
+Let the rows of a d-regular graph split into consecutive blocks of d equal
+rows, and let sigma rotate every block by one row.  The orbits of its
+matchings under sigma are 1-factorizations, equal or disjoint (the lemma in
+the verifier's module docstring), so they form a perfect partition.  K_{n,n}
+is one block of n rows: its orbits are the left cosets of the cyclic group
+generated by c = (1 2 ... n), (n-1)! parts of size n.  L(n, 2), the graph
+on 2n points with two n x n holes, is two blocks: its orbits pair the cosets
+of the top block with those of the bottom block at each of n offsets,
+((n-1)!)^2 * n parts of size n.
 
 Unlike build_l61 and build_l82, these builders skip verified_certificate.
 The verifier checks their parts by its orbit test, and even so checking
-knn:8 takes 15-16 ms of CPU against 11-12 ms to build it, and l2nn:5
-7.6-7.8 ms against 6.4-6.6 ms (medians of 11 calls in each of three runs,
-2-CPU VM, Python 3.11.7), so the check would more than double the build's
-time.  The tests verify every build up to knn:8 and l2nn:5 instead, and pin
-the bytes of those two.
+knn:8 takes 14.5-14.9 ms of CPU against 11.3-11.9 ms to build it, and
+l2nn:5 7.2-7.3 ms against 4.4-4.5 ms (medians of 11 calls in each of three
+runs, 2-CPU VM, Python 3.11.7), so the check would more than double the
+build's time.  The tests verify every build up to knn:8 and l2nn:5 instead, and pin
+the bytes of those two and of knn:9 and l2nn:6.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .graph_model import l_graph
-from .perm_core import Perm
-from .verifier import PartitionCertificate, make_certificate
+from .graph_model import GraphSpec, degree, l_graph
+from .verifier import PartitionCertificate, _block_rotations, _row_blocks, _row_sets
 
 
-def _coset_reps(n: int) -> list[Perm]:
-    """Lexicographically least member of each left coset of <(1 2 ... n)>.
+def _row_orbit_partition(graph: GraphSpec) -> PartitionCertificate:
+    """The perfect partition of graph into the orbits of its matchings under
+    sigma, the rotation of every block of d equal rows by one row; ValueError
+    when its rows do not split into such blocks.
 
-    compose(g, c^t) rotates g's image tuple left by t, so the least member
-    of g<c> is the rotation that starts with 1: the representatives are
-    (1, *q) for q over the permutations of 2..n, in lexicographic order.
+    In a regular graph the blocks' row sets partition the columns, so each
+    orbit holds exactly one matching whose row-1 image is the least column
+    of row 1.  These representatives are the first block's bijections onto
+    its row set that start with its least column, times every bijection of
+    each other block, in lexicographic order.  Each part is its
+    representative's rotations, sorted, so it starts with the representative
+    and the parts come out in make_certificate's canonical order.
     """
-    return [(1, *q) for q in permutations(range(2, n + 1))]
-
-
-def _rotations(g: Perm) -> list[Perm]:
-    """The coset g<c> in the order compose(g, c^t), t = 0..n-1: g rotated left by t."""
-    return [g[t:] + g[:t] for t in range(len(g))]
+    d = degree(graph)
+    rows = _row_sets(graph)
+    starts = _row_blocks(rows, d)
+    if starts is None:
+        raise ValueError(f"the rows do not split into blocks of {d} equal rows")
+    head, *tail = (sorted(rows[b]) for b in starts)
+    reps = [(head[0], *q) for q in permutations(head[1:])]
+    for columns in tail:
+        reps = [r + q for r in reps for q in permutations(columns)]
+    rotations = _block_rotations(starts, d)
+    parts = tuple(tuple(sorted([p, *[rotate(p) for rotate in rotations]])) for p in reps)
+    return PartitionCertificate(graph=graph, complete=True, parts=parts)
 
 
 def knn_partition(n: int) -> PartitionCertificate:
-    """Perfect partition of K_{n,n} into the (n-1)! left cosets of <(1 2 ... n)>.
-
-    g + g holds every rotation of g as a slice, and sorted, each coset starts
-    with g, its representative.  The representatives come out in
-    lexicographic order, so the parts are already in make_certificate's
-    canonical order.
-    """
+    """Perfect partition of K_{n,n} into the (n-1)! left cosets of <(1 2 ... n)>."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    parts = []
-    for g in _coset_reps(n):
-        gg = g + g
-        parts.append(tuple(sorted([gg[t : t + n] for t in range(n)])))
-    return PartitionCertificate(graph=l_graph(0, n=n), complete=True, parts=tuple(parts))
+    return _row_orbit_partition(l_graph(0, n=n))
 
 
 def l2nn_partition(n: int) -> PartitionCertificate:
-    """Perfect partition of L(n, 2) (two n x n holes) from paired cosets.
-
-    Member t of part (g, h, d) is alpha = g c^t shifted into the bottom
-    block, n + alpha, followed by beta = h c^(t+d).
-    """
+    """Perfect partition of L(n, 2) (two n x n holes) into ((n-1)!)^2 * n
+    orbits of the rotation of both blocks."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    reps = _coset_reps(n)
-    # each coset twice over, so betas[d : d + n] is h c^(t+d) for t = 0..n-1
-    bottoms = [_rotations(h) * 2 for h in reps]
-    parts = []
-    for g in reps:
-        tops = [tuple(n + x for x in alpha) for alpha in _rotations(g)]
-        for betas in bottoms:
-            for d in range(n):
-                parts.append(list(map(tuple.__add__, tops, betas[d : d + n])))
-    return make_certificate(l_graph(n, 2), parts, complete=True)
+    return _row_orbit_partition(l_graph(n, 2))

@@ -13,10 +13,11 @@ The members p o sigma^t (0 <= t < d) of a matching p then give each row of
 a block every column of its neighbourhood once, so they form a
 1-factorization, and as sigma^t fixes no row for 0 < t < d, two such orbits
 are equal or disjoint.  The coset partitions of K_{n,n} (one block) and of
-L(n, 2) (two blocks) are such orbits.  L(r, m) with m >= 3 or r = 1, and
-matrices without such blocks, skip the test at once; a certificate that
-fails it in any way is checked by the general path, which words every
-violation.
+L(n, 2) (two blocks) are such orbits, and construct_group builds them from
+the same block test and rotations, _row_blocks and _block_rotations.
+L(r, m) with m >= 3 or r = 1, and matrices without such blocks, skip the
+test at once; a certificate that fails it in any way is checked by the
+general path, which words every violation.
 """
 
 from __future__ import annotations
@@ -217,21 +218,25 @@ def _completeness_violations(spec: GraphSpec, have: set[Perm]) -> list[Violation
     return out
 
 
-def _distinct_by_index(parts: Sequence[Sequence[Perm]], row: frozenset[int]) -> bool:
-    """True when no member of parts, all valid factorizations, repeats;
-    False when one repeats or when this test cannot tell.
+def _row_blocks(rows: tuple[frozenset[int], ...], d: int) -> range | None:
+    """The starts of the consecutive blocks of d equal rows that rows split
+    into, or None when they do not split so."""
+    n = len(rows)
+    if n % d or any(rows[i] != rows[i - i % d] for i in range(n)):
+        return None
+    return range(0, n, d)
 
-    A valid part has one member for each column of row, adjacency row 1,
-    and that column is the member's first image.  When member j of every
-    part has the j-th smallest column as its first image, as in
-    make_certificate's order, two equal members sit at the same index, so
-    one set per index, each as long as parts, finds every repeat.
+
+def _block_rotations(starts: range, d: int) -> list[itemgetter]:
+    """rotations[t - 1](p) is p o sigma^t as an image tuple, for 0 < t < d,
+    where sigma rotates every block of d rows starting at starts by one row.
+
+    The identity, t = 0, is left out, so that no one-index itemgetter turns
+    a member of K_{1,1} into a bare int.
     """
-    for j, first in enumerate(sorted(row)):
-        column = set(map(itemgetter(j), parts))
-        if len(column) < len(parts) or set(map(itemgetter(0), column)) != {first}:
-            return False
-    return True
+    return [
+        itemgetter(*[b + (k + t) % d for b in starts for k in range(d)]) for t in range(1, d)
+    ]
 
 
 def _are_row_orbits(
@@ -248,14 +253,11 @@ def _are_row_orbits(
     path.
     """
     n = len(rows)
-    if d < 2 or n % d or any(rows[i] != rows[i - i % d] for i in range(n)):
+    starts = _row_blocks(rows, d) if d >= 2 else None
+    if starts is None:
         return False
-    starts = range(0, n, d)
     block_rows = [rows[b] for b in starts]
-    # rotations[t](p) is p o sigma^t as an image tuple
-    rotations = [
-        itemgetter(*[b + (k + t) % d for b in starts for k in range(d)]) for t in range(d)
-    ]
+    rotations = _block_rotations(starts, d)
     for part in parts:
         if not part:
             return False
@@ -263,7 +265,7 @@ def _are_row_orbits(
         if (
             len(p) != n
             or [frozenset(p[b : b + d]) for b in starts] != block_rows
-            or tuple(sorted([rotate(p) for rotate in rotations])) != part
+            or tuple(sorted([p, *[rotate(p) for rotate in rotations]])) != part
         ):
             return False
     return len({part[0] for part in parts}) == len(parts)
@@ -276,12 +278,7 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
     of completeness holds exactly when the graph has no further matching,
     which count_up_to decides by count.  Matchings are enumerated only to
     name what is missing when that test does not pass, and only up to the
-    first MISSING_NAMED of them.  The members are counted by part, and when
-    every part is valid, _distinct_by_index looks for a repeat one member
-    index at a time; only when it cannot decide is the set of all members
-    built, straight from the parts.  So neither a list nor a set of every
-    member sits beside a valid certificate whose members are in
-    make_certificate's order.
+    first MISSING_NAMED of them.
 
     First, though, _are_row_orbits tries the orbit test.  When the rows
     split into consecutive blocks of d rows, d the degree, each block's
@@ -289,10 +286,11 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
     matching p, its members p o sigma^t for 0 <= t < d, is a
     1-factorization, and two such orbits are equal or disjoint.  K_{n,n} is
     one block of n rows and L(n, 2) two, so every knn:N and l2nn:N
-    certificate in make_certificate's order takes that test: d rotations and one
-    compare per part, and one set of first members.  When it holds, only the
-    count of a complete certificate remains.  Any failure, of the test or of
-    that count, runs the general check below, which words every violation.
+    certificate in make_certificate's order takes that test: d - 1 rotations
+    and one compare per part, and one set of first members.  When it holds,
+    only the count of a complete certificate remains.  Any failure, of the
+    test or of that count, runs the general check below, which words every
+    violation.
     """
     spec = cert.graph
     violations: list[Violation] = []
@@ -311,11 +309,8 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
                 for v in _factorization_violations(part, d, rows)
             )
 
-    if not violations and _distinct_by_index(cert.parts, rows[0]):
-        n_distinct = n_matchings
-    else:
-        n_distinct = len(set(chain.from_iterable(cert.parts)))
-    if n_distinct < n_matchings:
+    members = set(chain.from_iterable(cert.parts))
+    if len(members) < n_matchings:
         # some member repeats; word each repeat that crosses parts
         first: dict[Perm, int] = {}
         for k, part in enumerate(cert.parts):
@@ -328,8 +323,8 @@ def check_partition(cert: PartitionCertificate) -> PartitionReport:
                     )
                 first.setdefault(p, k)
 
-    if cert.complete and (violations or count_up_to(spec, n_distinct) != n_distinct):
-        violations.extend(_completeness_violations(spec, set(chain.from_iterable(cert.parts))))
+    if cert.complete and (violations or count_up_to(spec, len(members)) != len(members)):
+        violations.extend(_completeness_violations(spec, members))
 
     return PartitionReport(
         ok=not violations,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import perfpart
-from perfpart.cli import COMMANDS, main
+from perfpart.cli import COMMANDS, GROUP_TARGETS, main
 from perfpart.construct_group import knn_partition
 from perfpart.counting import count_up_to
 from perfpart.graph_model import from_matrix, l_graph, row_strings
@@ -369,6 +369,25 @@ def test_certificate_bytes_are_pinned(run, tmp_path, target):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERT_SHA256[target]
     code, out = run("verify", str(path))
     assert code == 0 and out.startswith("PASS: ")
+
+
+# sha256 of the largest certificate of each family that GROUP_TARGETS accepts,
+# written in-process and not verified again: the tests verify every build up
+# to knn:8 and l2nn:5
+LARGEST_GROUP_SHA256 = {
+    "knn:9": "790089e9e1c69859093a9c8dfe7611105aab866b611450e020f5dc67215ad5f7",
+    "l2nn:6": "95d312d68d2faed4148f26eb412cdd98d6a1265ee98500abb412848f0e662039",
+}
+
+
+@pytest.mark.parametrize("target", LARGEST_GROUP_SHA256)
+def test_the_largest_group_certificates_are_pinned(tmp_path, target):
+    prefix, n = target.split(":")
+    build, limit = GROUP_TARGETS[prefix + ":"]
+    assert int(n) == limit
+    path = tmp_path / "cert.json"
+    save_certificate(build(limit), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LARGEST_GROUP_SHA256[target]
 
 
 # sha256 of the stdout of each classified listing; the benchmark checks only

@@ -5,8 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from perfpart.construct_group import _coset_reps, knn_partition, l2nn_partition
-from perfpart.graph_model import is_matching, l_graph
+from perfpart.construct_group import _row_orbit_partition, knn_partition, l2nn_partition
+from perfpart.graph_model import from_matrix, is_matching, l_graph
 from perfpart.perm_core import compose, inverse
 from perfpart.verifier import check_partition, make_certificate
 
@@ -30,23 +30,28 @@ def test_knn_partition_shape_and_validity(n: int):
     assert check_partition(cert).ok
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_coset_reps_are_the_least_member_of_each_coset(n: int):
+def least_coset_members(n: int) -> list[tuple[int, ...]]:
+    """The least member of each left coset of <(1 2 ... n)>, in order."""
     powers = cycle_powers(n)
-    least = [
+    return [
         g
         for g in permutations(range(1, n + 1))
         if g == min(compose(g, h) for h in powers)
     ]
-    assert _coset_reps(n) == least
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coset_reps_are_the_least_member_of_each_coset(n: int):
+    """Each knn part starts with the least member of its coset."""
+    assert [part[0] for part in knn_partition(n).parts] == least_coset_members(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_coset_builders_equal_a_composition_build(n: int):
-    """Rotated image tuples give the same certificates as composing each
-    representative with every power of the cycle."""
+    """The orbit builder gives the same certificates as composing each
+    least coset member with every power of the cycle."""
     powers = cycle_powers(n)
-    cosets = [[compose(g, h) for h in powers] for g in _coset_reps(n)]
+    cosets = [[compose(g, h) for h in powers] for g in least_coset_members(n)]
     assert knn_partition(n) == make_certificate(l_graph(0, n=n), cosets, complete=True)
     if n == 7:
         return  # L(7, 2) has (6!)^2 * 7 = 3,628,800 parts
@@ -97,3 +102,13 @@ def test_degenerate_arguments():
         l2nn_partition(0)
     assert len(knn_partition(1).parts) == 1
     assert l2nn_partition(1).parts == (((2, 1),),)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [l_graph(2, 4), l_graph(1, 6), from_matrix(["11100", "01110", "00111", "10011", "11001"])],
+    ids=["l24", "l16", "circulant"],
+)
+def test_the_orbit_builder_refuses_rows_without_blocks(graph):
+    with pytest.raises(ValueError, match="do not split into blocks"):
+        _row_orbit_partition(graph)

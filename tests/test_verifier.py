@@ -414,9 +414,10 @@ def test_repeated_members_are_worded_in_order(case, complete):
 
 
 @pytest.mark.parametrize("target", ["l61", "knn:5", "l2nn:3"])
-def test_repeats_are_found_in_any_member_order(target, monkeypatch):
-    """The per-index search for repeats gives the report that the set of
-    all members gives, whether or not the members are in canonical order."""
+def test_repeats_are_found_in_any_member_order(target):
+    """Repeats are found, and the report is the one the same parts give with
+    their members in canonical order, but for the order of its lines: a
+    part's repeats are worded in its member order."""
     cert = BUILDERS[target]()
     rng = random.Random(target)
     canonical = list(cert.parts)
@@ -429,12 +430,16 @@ def test_repeats_are_found_in_any_member_order(target, monkeypatch):
         canonical[1:],
     ]
     for parts in cases:
+        in_order = tuple(tuple(sorted(part)) for part in parts)
         for complete in (True, False):
             claim = PartitionCertificate(cert.graph, complete, tuple(parts))
-            by_index = check_partition(claim)
-            with monkeypatch.context() as patch:
-                patch.setattr(verifier, "_distinct_by_index", lambda parts, row: False)
-                assert check_partition(claim) == by_index
+            report = check_partition(claim)
+            reference = check_partition(PartitionCertificate(cert.graph, complete, in_order))
+            assert report.summary() == reference.summary()
+            assert sorted(map(str, report.violations)) == sorted(map(str, reference.violations))
+            repeats = len(parts) > len(canonical)
+            assert report.ok == (not repeats and (len(parts) == len(canonical) or not complete))
+            assert ("overlap" in kinds(report.violations)) == repeats
 
 
 def test_swapped_members_fail_two_parts(l61_cert):
@@ -718,14 +723,12 @@ def test_the_orbit_test_and_the_general_path_agree(target, monkeypatch):
 
 
 def general_path_calls(monkeypatch):
-    """The names of the general path's per-part and per-index tests, one
-    entry per call."""
+    """The names of the general path's per-part tests, one entry per call."""
     calls = []
-    for name in ("_is_factorization", "_distinct_by_index"):
-        real = getattr(verifier, name)
-        monkeypatch.setattr(
-            verifier, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
-        )
+    real = verifier._is_factorization
+    monkeypatch.setattr(
+        verifier, "_is_factorization", lambda *args: calls.append("_is_factorization") or real(*args)
+    )
     return calls
 
 
@@ -736,7 +739,7 @@ def test_orbit_certificates_skip_the_general_path(target, orbits, monkeypatch):
     cert = knn8_cert() if target == "knn:8" else BUILDERS[target]()
     calls = general_path_calls(monkeypatch)
     assert check_partition(cert).ok
-    assert set(calls) == (set() if orbits else {"_is_factorization", "_distinct_by_index"})
+    assert set(calls) == (set() if orbits else {"_is_factorization"})
 
 
 def interleaved_l2nn2():
