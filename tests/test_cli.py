@@ -12,6 +12,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import independent_check
 import pytest
 
 import perfpart
@@ -21,7 +22,7 @@ from perfpart.counting import count_up_to
 from perfpart.graph_model import from_matrix, l_graph, row_strings
 from perfpart.perm_core import to_cycles
 from perfpart.tables import l61_golden_parts
-from perfpart.verifier import load_certificate, make_certificate, save_certificate
+from perfpart.verifier import check_partition, load_certificate, make_certificate, save_certificate
 
 CIRCULANT_ROWS = "11100\n01110\n00111\n10011\n11001\n"
 
@@ -680,6 +681,38 @@ def test_search_usage_errors(circulant_file, tmp_path):
     out = tmp_path / "all.json"
     usage_error("search", "--target", "l41", "--all", "--out", str(out))
     assert not out.exists()
+
+
+# The README's census table: each L(r, m) with at most 20,000 matchings that
+# one command certifies, and that command.  L(1, 7), L(1, 8) and L(3, 3) are
+# open.
+CENSUS = {
+    (1, 2): "search --r 1 --m 2 --out l12.json",
+    (1, 3): "search --r 1 --m 3 --out l13.json",
+    (1, 4): "search --target l41 --out l41.json",
+    (1, 5): "search --target l51 --out l51.json",
+    (1, 6): "construct --target l61",
+    (2, 2): "construct --target l2nn:2",
+    (2, 3): "search --target l62 --out l62.json",
+    (2, 4): "construct --target l82",
+    (3, 2): "construct --target l2nn:3",
+    (4, 2): "construct --target l2nn:4",
+    (5, 2): "construct --target l2nn:5",
+}
+
+
+@pytest.mark.parametrize("r, m", CENSUS, ids=[f"L({r},{m})" for r, m in CENSUS])
+def test_a_census_command_certifies_its_graph(run, tmp_path, monkeypatch, r, m):
+    command = CENSUS[r, m]
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"`perfpart {command}`" in readme.read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(*command.split())[0] == 0
+    (path,) = tmp_path.iterdir()
+    cert = load_certificate(path)
+    assert cert.graph == l_graph(r, m) and cert.complete
+    assert check_partition(cert).ok
+    assert independent_check.accepts(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _enumerate_in_a_subprocess(tmp_path, rows):
